@@ -18,8 +18,12 @@
 //!   parallel win (see EXPERIMENTS.md).
 //!
 //! Usage: `dist_runtime [--n N] [--nb NB] [--model-n N] [--model-nb NB]
-//! [--reps R] [--out PATH]` (defaults: n=512, nb=64, model-n=2000,
-//! model-nb=50, reps=1, out=BENCH_dist.json).
+//! [--reps R] [--communicator in_process|threaded] [--out PATH]
+//! [--trace-out PATH]` (defaults: n=512, nb=64, model-n=2000,
+//! model-nb=50, reps=1, communicator=in_process, out=BENCH_dist.json).
+//! Both communicators run the same rank task bodies and send the same
+//! messages: `in_process` drives one DAG for the whole grid through the
+//! executor, `threaded` runs every rank as an OS thread.
 
 use calu_bench::{write_record, HostInfo};
 use calu_core::dist::{dist_calu_factor_spmd, DistCaluConfig};
@@ -91,7 +95,13 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: dist_runtime [--n N] [--nb NB] [--model-n N] [--model-nb NB] \
                      [--reps R] [--communicator in_process|threaded] [--out PATH] \
-                     [--trace-out PATH]"
+                     [--trace-out PATH]\n\n\
+                     --communicator picks the driver of the measured 'threaded' column; both \
+                     run the same rank task bodies\n\
+                     and send the same messages. in_process (default): one DAG for the whole \
+                     grid on the threaded\n\
+                     executor. threaded: every rank an OS thread running its share of the \
+                     DAG's serial schedule."
                 );
                 std::process::exit(0);
             }

@@ -1,43 +1,39 @@
-//! The communicator seam: where distributed payloads cross ranks.
+//! The communicator: where distributed payloads cross ranks.
 //!
-//! `dist_rt` moves every cross-rank payload — TSLU candidate sets, pivot
-//! lists, packed panels, `W`/`U₁₂` blocks, pivot-row segments — as keyed
-//! `f64`-word messages. This module cuts that boundary as a trait,
-//! [`Communicator`], with three implementations:
+//! Every cross-rank payload of distributed CALU / `PDGETRF` — TSLU
+//! candidate sets, pivot lists, packed panels, `W`/`U₁₂` blocks, pivot-row
+//! segments, the `PDGETF2` picket fence — travels as a keyed `f64`-word
+//! message through one transport, [`ThreadedComm`]: each rank owns a
+//! `std::sync::mpsc` inbox plus a local stash, posts are point-to-point,
+//! and [`ThreadedComm::fetch`] takes a payload from the stash or, if it
+//! has not arrived yet, blocks until it does. Nothing but messages crosses
+//! the rank seam — each rank's task bodies touch only its own local
+//! matrix.
 //!
-//! * [`InProcessComm`] — the original shared mailbox: one
-//!   `Mutex<HashMap>` all ranks read and write. Posts are visible to
-//!   every rank immediately; the DAG's edges are the wire. This is the
-//!   behavior-preserving default, and the only backend under which task
-//!   bodies may *also* touch other ranks' tile storage directly (the
-//!   shared-memory simulation).
-//! * [`ThreadedComm`] — ranks as real OS threads: each rank owns a
-//!   `std::sync::mpsc` receiver plus a local stash, sends are
-//!   point-to-point, and [`Communicator::fetch`] *blocks* until the
-//!   payload arrives. Nothing but messages crosses the seam — each rank
-//!   thread touches only its own local matrix.
-//! * [`MpiComm`] — an MPI-shaped stub documenting the off-box path. Every
-//!   operation returns [`Error::Unsupported`]; the type exists so the
-//!   driver's dispatch (`&dyn Communicator`) already has the third arm an
-//!   MPI build would fill in.
+//! Both drivers in [`crate::dist_rt`] use it: [`CommKind::Threaded`] runs
+//! every rank as an OS thread, whose fetches really block;
+//! [`CommKind::InProcess`] drives one DAG for the whole grid through an
+//! executor, whose edges order every post before its fetches, so its
+//! fetches only ever move an already-delivered payload into the stash.
 //!
-//! # Invariants at the seam
+//! # Invariants
 //!
-//! * Every key is posted **exactly once** per run; the DAG (or the
-//!   per-rank schedule projection) orders every post before its fetches.
+//! * Every key is posted **at most once** to each destination per run;
+//!   the DAG (or the per-rank schedule projection) orders every post
+//!   before its fetches.
 //! * Payloads are `f64` words; `T ↔ f64` round trips are exact for every
-//!   [`calu_matrix::Scalar`], so moving data through the seam never
-//!   perturbs bits.
+//!   [`calu_matrix::Scalar`], so moving data through the communicator
+//!   never perturbs bits.
 //! * Consumers never mutate a fetched payload (shared `Arc`).
 //! * Payloads of steps older than the lookahead window are dead and may
-//!   be evicted ([`Communicator::evict_before`]).
-//! * Matrix elements and pivot slots never cross the seam except as
-//!   posted payloads — under [`ThreadedComm`] there is no other channel.
+//!   be evicted ([`ThreadedComm::evict_before`]).
+//! * Matrix elements and pivot slots never cross ranks except as posted
+//!   payloads — there is no other channel.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use calu_matrix::{Error, Result};
@@ -51,8 +47,8 @@ pub type MailKey = (u8, u32, u32, u32);
 /// Butterfly accumulator slots (`j` = slot index, slot `l+1` written by
 /// leg `l`; slot 0 is the local election).
 pub const MAIL_ACC: u8 = 0;
-/// Swap list of step `k` (canonical slot: `who` = the diagonal process
-/// row).
+/// Swap list of step `k` (`who` = the diagonal process row; every rank
+/// holds its own copy).
 pub const MAIL_PIV: u8 = 1;
 /// Post-swap `W` block of step `k`.
 pub const MAIL_WBK: u8 = 2;
@@ -61,8 +57,7 @@ pub const MAIL_PAN: u8 = 3;
 /// `U₁₂` of block column `j`.
 pub const MAIL_U12: u8 = 4;
 /// Trailing-swap row segment (`j` = block column, `who` = `i·Pr + sender
-/// prow` for pivot item `i`) — only the threaded backend sends these;
-/// the in-process mailbox swaps rows in place.
+/// prow` for pivot item `i`).
 pub const MAIL_SWP: u8 = 5;
 /// `PDGETF2` per-column pivot candidate (`j` = panel column, `who` =
 /// sender prow): 3 words `[|v|, global row (−1 = none), v]`.
@@ -95,16 +90,17 @@ pub fn mail_class_term(class: u8) -> &'static str {
     }
 }
 
-/// Which communicator backend a distributed run uses.
+/// How a distributed run drives the ranks' task bodies. Both modes run the
+/// same bodies and send the same messages through a [`ThreadedComm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommKind {
-    /// Shared in-process mailbox (the behavior-preserving default).
+    /// One DAG for the whole grid, driven by the selected executor; each
+    /// task runs the body of its rank.
     #[default]
     InProcess,
-    /// Ranks as OS threads over per-rank channels; point-to-point sends.
+    /// Every rank an OS thread running its projection of the DAG's
+    /// serial schedule; fetches block until the payload arrives.
     Threaded,
-    /// MPI-shaped stub — always fails with [`Error::Unsupported`].
-    Mpi,
 }
 
 impl CommKind {
@@ -113,151 +109,18 @@ impl CommKind {
         match self {
             CommKind::InProcess => "in_process",
             CommKind::Threaded => "threaded",
-            CommKind::Mpi => "mpi",
         }
     }
 
-    /// Parses a CLI flag value (`in_process` | `threaded` | `mpi`).
+    /// Parses a CLI flag value (`in_process` | `threaded`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "in_process" | "in-process" | "inprocess" => Some(CommKind::InProcess),
             "threaded" => Some(CommKind::Threaded),
-            "mpi" => Some(CommKind::Mpi),
             _ => None,
         }
     }
 }
-
-/// The transport behind `dist_rt`'s keyed-payload mailbox. Object-safe:
-/// the driver holds a `&dyn Communicator` and never knows which backend
-/// moves the words.
-///
-/// `from`/`at` are flat grid ranks. Backends with one shared address
-/// space ([`InProcessComm`]) may ignore them and `dests`; point-to-point
-/// backends route on them.
-pub trait Communicator: Send + Sync {
-    /// Stable backend name (`"in_process"`, `"threaded"`, `"mpi"`).
-    fn name(&self) -> &'static str;
-
-    /// Posts one payload under `key` from rank `from` to every rank in
-    /// `dests` (`from` itself included means "stash locally"). Keys are
-    /// unique per run; posting a key twice to one destination is a
-    /// schedule bug.
-    ///
-    /// # Errors
-    /// Backends that cannot send (the MPI stub) return
-    /// [`Error::Unsupported`].
-    fn post(&self, from: usize, key: MailKey, data: Vec<f64>, dests: &[usize]) -> Result<()>;
-
-    /// The payload posted under `key`, as visible to rank `at`.
-    /// Synchronous backends ([`InProcessComm`]) expect the post to have
-    /// happened-before (a missing slot is a DAG edge bug and panics);
-    /// asynchronous backends ([`ThreadedComm`]) block until the payload
-    /// arrives.
-    ///
-    /// # Errors
-    /// [`Error::Canceled`] once the run is canceled;
-    /// [`Error::Unsupported`] from the MPI stub.
-    fn fetch(&self, at: usize, key: MailKey) -> Result<Arc<Vec<f64>>>;
-
-    /// Words of the payload under `key` as visible to rank `at` — 0 if
-    /// absent. Never blocks; used for ledger peeks of already-ordered
-    /// payloads.
-    fn peek_words(&self, at: usize, key: MailKey) -> usize;
-
-    /// Drops every payload of steps `<= cutoff` visible to rank `at` —
-    /// the lookahead window proves them dead.
-    fn evict_before(&self, at: usize, cutoff: u32);
-
-    /// Cancels the run: every blocked and future [`Communicator::fetch`]
-    /// on any rank returns [`Error::Canceled`] (payloads already
-    /// delivered may still be served first).
-    fn cancel(&self, from: usize);
-
-    /// Empties every mailbox/stash/channel and returns how many payload
-    /// words were still posted. Called once by the driver after the run.
-    fn drain(&self) -> usize;
-
-    /// Payload words still visible after [`Communicator::drain`] — the
-    /// leak detector, 0 in the happy path.
-    fn residual_words(&self) -> usize;
-}
-
-// ---------------------------------------------------------------------------
-// InProcess
-// ---------------------------------------------------------------------------
-
-/// The original shared mailbox: one locked map every rank reads and
-/// writes. Routing is implicit — the DAG's edges are the wire — so
-/// `from`/`at`/`dests` are ignored.
-///
-/// All four lock sites recover from poisoning with
-/// [`PoisonError::into_inner`]: the map holds plain `Arc`d payloads whose
-/// invariants don't depend on the panicking task, so one poisoned task
-/// must not cascade into every other rank's mailbox access (the same
-/// hardening the threaded executor's pool uses).
-#[derive(Debug, Default)]
-pub struct InProcessComm {
-    mail: Mutex<HashMap<MailKey, Arc<Vec<f64>>>>,
-}
-
-impl InProcessComm {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Communicator for InProcessComm {
-    fn name(&self) -> &'static str {
-        "in_process"
-    }
-
-    fn post(&self, _from: usize, key: MailKey, data: Vec<f64>, _dests: &[usize]) -> Result<()> {
-        let prev =
-            self.mail.lock().unwrap_or_else(PoisonError::into_inner).insert(key, Arc::new(data));
-        debug_assert!(prev.is_none(), "mail slot {key:?} posted twice");
-        Ok(())
-    }
-
-    fn fetch(&self, _at: usize, key: MailKey) -> Result<Arc<Vec<f64>>> {
-        Ok(self
-            .mail
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .unwrap_or_else(|| panic!("mail slot {key:?} missing — DAG edge bug"))
-            .clone())
-    }
-
-    fn peek_words(&self, _at: usize, key: MailKey) -> usize {
-        self.mail.lock().unwrap_or_else(PoisonError::into_inner).get(&key).map_or(0, |v| v.len())
-    }
-
-    fn evict_before(&self, _at: usize, cutoff: u32) {
-        self.mail.lock().unwrap_or_else(PoisonError::into_inner).retain(|key, _| key.1 > cutoff);
-    }
-
-    fn cancel(&self, _from: usize) {
-        // The executor cancels unstarted tasks itself; the shared mailbox
-        // has no blocked fetches to wake.
-    }
-
-    fn drain(&self) -> usize {
-        let mut mail = self.mail.lock().unwrap_or_else(PoisonError::into_inner);
-        let words = mail.values().map(|v| v.len()).sum();
-        mail.clear();
-        words
-    }
-
-    fn residual_words(&self) -> usize {
-        self.mail.lock().unwrap_or_else(PoisonError::into_inner).values().map(|v| v.len()).sum()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded
-// ---------------------------------------------------------------------------
 
 /// How long a blocked [`ThreadedComm::fetch`] waits between cancel-flag
 /// checks.
@@ -265,28 +128,35 @@ const POLL: Duration = Duration::from_millis(20);
 /// A fetch outstanding this long is a schedule bug, not a slow sender.
 const STUCK: Duration = Duration::from_secs(60);
 
+type Message = (MailKey, Arc<Vec<f64>>);
+type Stash = Mutex<HashMap<MailKey, Arc<Vec<f64>>>>;
+
 struct RankBox {
     /// Point-to-point inbox of this rank.
-    rx: Mutex<Receiver<(MailKey, Arc<Vec<f64>>)>>,
-    /// Payloads already received (or self-posted), keyed like the shared
-    /// mailbox. Fetches never remove — later tasks of the same rank may
-    /// re-read — eviction and the final drain clean up.
-    stash: Mutex<HashMap<MailKey, Arc<Vec<f64>>>>,
-    /// Set by [`Communicator::cancel`]; checked by every blocked fetch.
+    rx: Mutex<Receiver<Message>>,
+    /// Payloads already received (or self-posted). Fetches never remove —
+    /// later tasks of the same rank may re-read — eviction and the final
+    /// drain clean up. Under [`CommKind::InProcess`] concurrent executor
+    /// tasks of one rank share this lock.
+    stash: Stash,
+    /// Set by [`ThreadedComm::cancel`]; checked by every blocked fetch.
     canceled: AtomicBool,
-    /// Nanoseconds this rank spent blocked in [`Communicator::fetch`],
-    /// per mail class. Only misses pay: a fetch whose key is already
-    /// stashed records nothing.
+    /// Nanoseconds this rank spent blocked in [`ThreadedComm::fetch`], per
+    /// mail class. Only a fetch whose payload has not been delivered yet
+    /// pays; one that finds it in the stash or the inbox records nothing.
     wait_ns: [AtomicU64; MAIL_CLASSES],
 }
 
-/// Ranks as real OS threads: rank `r`'s thread owns inbox `r`, sends are
-/// point-to-point `mpsc` messages, and a fetch blocks (draining the
-/// inbox into the stash) until its key arrives. No shared matrix state —
-/// this backend is what makes the distributed execution *physically*
-/// parallel.
+/// The transport of the distributed runtime: rank `r` owns inbox `r`,
+/// posts are point-to-point `mpsc` messages, and a fetch blocks (draining
+/// the inbox into the stash) until its key arrives.
+///
+/// Every lock site recovers from poisoning with
+/// [`PoisonError::into_inner`]: the maps hold plain `Arc`d payloads whose
+/// invariants don't depend on a panicking task, so one panic must not
+/// cascade into every other task's mailbox access.
 pub struct ThreadedComm {
-    senders: Vec<Sender<(MailKey, Arc<Vec<f64>>)>>,
+    senders: Vec<Sender<Message>>,
     boxes: Vec<RankBox>,
 }
 
@@ -294,6 +164,10 @@ impl std::fmt::Debug for ThreadedComm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadedComm").field("ranks", &self.boxes.len()).finish()
     }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ThreadedComm {
@@ -314,12 +188,7 @@ impl ThreadedComm {
         Self { senders, boxes }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Nanoseconds rank `rank` spent blocked in [`Communicator::fetch`],
+    /// Nanoseconds rank `rank` spent blocked in [`ThreadedComm::fetch`],
     /// aggregated per ledger term ([`mail_class_term`]); zero-wait terms
     /// are omitted, terms sorted. The driver folds these into the
     /// [`CommLedger`](calu_obs::CommLedger) after the run.
@@ -335,26 +204,18 @@ impl ThreadedComm {
         terms.into_iter().collect()
     }
 
-    fn stash_insert(
-        stash: &Mutex<HashMap<MailKey, Arc<Vec<f64>>>>,
-        key: MailKey,
-        v: Arc<Vec<f64>>,
-    ) {
-        let prev = stash.lock().unwrap_or_else(PoisonError::into_inner).insert(key, v);
+    fn stash_insert(stash: &Stash, (key, v): Message) {
+        let prev = lock(stash).insert(key, v);
         debug_assert!(prev.is_none(), "mail slot {key:?} delivered twice");
     }
-}
 
-impl Communicator for ThreadedComm {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn post(&self, from: usize, key: MailKey, data: Vec<f64>, dests: &[usize]) -> Result<()> {
+    /// Posts one payload under `key` from rank `from` to every rank in
+    /// `dests` (`from` itself included means "stash locally").
+    pub fn post(&self, from: usize, key: MailKey, data: Vec<f64>, dests: &[usize]) {
         let arc = Arc::new(data);
         for &d in dests {
             if d == from {
-                Self::stash_insert(&self.boxes[d].stash, key, arc.clone());
+                Self::stash_insert(&self.boxes[d].stash, (key, arc.clone()));
             } else {
                 // The receivers live inside `self`, so a send can only
                 // fail after teardown has begun; dropping the payload
@@ -362,82 +223,78 @@ impl Communicator for ThreadedComm {
                 let _ = self.senders[d].send((key, arc.clone()));
             }
         }
-        Ok(())
     }
 
-    fn fetch(&self, at: usize, key: MailKey) -> Result<Arc<Vec<f64>>> {
+    /// The payload posted to rank `at` under `key`, blocking until it
+    /// arrives.
+    ///
+    /// # Errors
+    /// [`Error::Canceled`] once the run is canceled and the payload has
+    /// not been delivered.
+    ///
+    /// # Panics
+    /// If the payload is still missing after a minute — a schedule bug.
+    pub fn fetch(&self, at: usize, key: MailKey) -> Result<Arc<Vec<f64>>> {
         let rb = &self.boxes[at];
-        // Fast path: already stashed means no waiting — and no wait-clock
-        // entry, so the ledger's wait rows measure only genuine blocking.
-        if let Some(v) = rb.stash.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+        if let Some(v) = lock(&rb.stash).get(&key) {
             return Ok(v.clone());
         }
-        let start = Instant::now();
+        let mut blocked: Option<Instant> = None;
         let res = loop {
-            if let Some(v) = rb.stash.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+            // Hold the inbox while looking in the stash, so a concurrent
+            // fetch on the same rank cannot move this payload from one to
+            // the other between the two looks.
+            let rx = lock(&rb.rx);
+            while let Ok(msg) = rx.try_recv() {
+                Self::stash_insert(&rb.stash, msg);
+            }
+            if let Some(v) = lock(&rb.stash).get(&key) {
                 break Ok(v.clone());
             }
             if rb.canceled.load(Ordering::Acquire) {
                 break Err(Error::Canceled);
             }
-            let rx = rb.rx.lock().unwrap_or_else(PoisonError::into_inner);
+            let start = *blocked.get_or_insert_with(Instant::now);
             match rx.recv_timeout(POLL) {
-                Ok((k, v)) => {
-                    Self::stash_insert(&rb.stash, k, v);
-                    // Opportunistically drain whatever else already
-                    // arrived so the stash stays warm for stash-only
-                    // consumers. The loop re-reads from the stash
-                    // (single exit path).
-                    while let Ok((k2, v2)) = rx.try_recv() {
-                        Self::stash_insert(&rb.stash, k2, v2);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    assert!(
-                        start.elapsed() < STUCK,
-                        "rank {at}: mail slot {key:?} never delivered — schedule bug"
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // All senders dropped: only possible during teardown.
-                    break Err(Error::Canceled);
-                }
+                Ok(msg) => Self::stash_insert(&rb.stash, msg),
+                Err(RecvTimeoutError::Timeout) => assert!(
+                    start.elapsed() < STUCK,
+                    "rank {at}: mail slot {key:?} never delivered — schedule bug"
+                ),
+                // All senders dropped: only possible during teardown.
+                Err(RecvTimeoutError::Disconnected) => break Err(Error::Canceled),
             }
         };
-        rb.wait_ns[key.0 as usize].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Some(start) = blocked {
+            rb.wait_ns[key.0 as usize]
+                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
         res
     }
 
-    fn peek_words(&self, at: usize, key: MailKey) -> usize {
-        self.boxes[at]
-            .stash
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .map_or(0, |v| v.len())
+    /// Drops every stashed payload of steps `<= cutoff` on rank `at` — the
+    /// lookahead window proves them dead.
+    pub fn evict_before(&self, at: usize, cutoff: u32) {
+        lock(&self.boxes[at].stash).retain(|key, _| key.1 > cutoff);
     }
 
-    fn evict_before(&self, at: usize, cutoff: u32) {
-        self.boxes[at]
-            .stash
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|key, _| key.1 > cutoff);
-    }
-
-    fn cancel(&self, _from: usize) {
+    /// Cancels the run: every blocked and future fetch of a payload not yet
+    /// delivered, on any rank, returns [`Error::Canceled`].
+    pub fn cancel(&self) {
         for rb in &self.boxes {
             rb.canceled.store(true, Ordering::Release);
         }
     }
 
-    fn drain(&self) -> usize {
+    /// Empties every stash and inbox and returns how many payload words
+    /// were still posted. Called once by the driver after the run.
+    pub fn drain(&self) -> usize {
         let mut words = 0usize;
         for rb in &self.boxes {
-            let mut stash = rb.stash.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut stash = lock(&rb.stash);
             words += stash.values().map(|v| v.len()).sum::<usize>();
             stash.clear();
-            let rx = rb.rx.lock().unwrap_or_else(PoisonError::into_inner);
+            let rx = lock(&rb.rx);
             while let Ok((_, v)) = rx.try_recv() {
                 words += v.len();
             }
@@ -445,71 +302,10 @@ impl Communicator for ThreadedComm {
         words
     }
 
-    fn residual_words(&self) -> usize {
-        self.boxes
-            .iter()
-            .map(|rb| {
-                rb.stash
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(|v| v.len())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MPI stub
-// ---------------------------------------------------------------------------
-
-/// MPI-shaped communicator stub: the third arm of the seam, shaped like
-/// the off-box path (rank-addressed posts, blocking fetches) but not
-/// linked against any MPI library. Every data operation returns
-/// [`Error::Unsupported`] so callers exercise the fallible dispatch an
-/// MPI build would need.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MpiComm;
-
-impl MpiComm {
-    /// The stub.
-    pub fn new() -> Self {
-        Self
-    }
-
-    fn unsupported<T>() -> Result<T> {
-        Err(Error::Unsupported { what: "MPI communicator: no MPI library linked in this build" })
-    }
-}
-
-impl Communicator for MpiComm {
-    fn name(&self) -> &'static str {
-        "mpi"
-    }
-
-    fn post(&self, _from: usize, _key: MailKey, _data: Vec<f64>, _dests: &[usize]) -> Result<()> {
-        Self::unsupported()
-    }
-
-    fn fetch(&self, _at: usize, _key: MailKey) -> Result<Arc<Vec<f64>>> {
-        Self::unsupported()
-    }
-
-    fn peek_words(&self, _at: usize, _key: MailKey) -> usize {
-        0
-    }
-
-    fn evict_before(&self, _at: usize, _cutoff: u32) {}
-
-    fn cancel(&self, _from: usize) {}
-
-    fn drain(&self) -> usize {
-        0
-    }
-
-    fn residual_words(&self) -> usize {
-        0
+    /// Payload words still stashed after [`ThreadedComm::drain`] — the leak
+    /// detector, 0 in the happy path.
+    pub fn residual_words(&self) -> usize {
+        self.boxes.iter().map(|rb| lock(&rb.stash).values().map(|v| v.len()).sum::<usize>()).sum()
     }
 }
 
@@ -519,55 +315,23 @@ mod tests {
 
     const KEY: MailKey = (MAIL_PIV, 3, 0, 1);
 
-    #[test]
-    fn in_process_round_trips_and_drains() {
-        let c = InProcessComm::new();
-        c.post(0, KEY, vec![1.0, 2.0], &[]).unwrap();
-        assert_eq!(*c.fetch(5, KEY).unwrap(), vec![1.0, 2.0]);
-        assert_eq!(c.peek_words(0, KEY), 2);
-        c.post(0, (MAIL_ACC, 1, 0, 0), vec![9.0], &[]).unwrap();
-        c.evict_before(0, 2);
-        assert_eq!(c.peek_words(0, (MAIL_ACC, 1, 0, 0)), 0, "old step evicted");
-        assert_eq!(c.peek_words(0, KEY), 2, "current step kept");
-        assert_eq!(c.drain(), 2);
-        assert_eq!(c.residual_words(), 0);
-    }
-
-    /// Satellite regression: one panicking task must not cascade — a
-    /// poisoned mailbox lock stays usable for every subsequent post,
-    /// fetch, peek, evict, and drain.
-    #[test]
-    fn in_process_survives_a_poisoned_lock_without_cascading() {
-        let c = InProcessComm::new();
-        c.post(0, KEY, vec![4.0], &[]).unwrap();
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = c.mail.lock().unwrap();
-            panic!("task died holding the mailbox");
-        }));
-        assert!(poison.is_err());
-        assert!(c.mail.is_poisoned(), "the lock must actually be poisoned for this test to bite");
-        // Every op still works on the poisoned lock.
-        c.post(0, (MAIL_WBK, 3, 0, 0), vec![1.0, 2.0, 3.0], &[]).unwrap();
-        assert_eq!(*c.fetch(0, KEY).unwrap(), vec![4.0]);
-        assert_eq!(c.peek_words(0, (MAIL_WBK, 3, 0, 0)), 3);
-        c.evict_before(0, 0);
-        assert_eq!(c.drain(), 4);
-        assert_eq!(c.residual_words(), 0);
+    fn stashed(c: &ThreadedComm, at: usize, key: MailKey) -> usize {
+        lock(&c.boxes[at].stash).get(&key).map_or(0, |v| v.len())
     }
 
     #[test]
-    fn threaded_routes_point_to_point_and_blocks_until_delivery() {
+    fn routes_point_to_point_and_blocks_until_delivery() {
         let c = ThreadedComm::new(4);
         // Self-post goes straight to the stash.
-        c.post(2, KEY, vec![7.0], &[2]).unwrap();
-        assert_eq!(c.peek_words(2, KEY), 1);
-        assert_eq!(c.peek_words(1, KEY), 0, "not addressed to rank 1");
+        c.post(2, KEY, vec![7.0], &[2]);
+        assert_eq!(stashed(&c, 2, KEY), 1);
+        assert_eq!(stashed(&c, 1, KEY), 0, "not addressed to rank 1");
         // Cross-rank: rank 3 blocks until rank 0 posts.
         std::thread::scope(|s| {
             let c = &c;
             let h = s.spawn(move || c.fetch(3, (MAIL_U12, 0, 1, 0)).unwrap());
             std::thread::sleep(Duration::from_millis(30));
-            c.post(0, (MAIL_U12, 0, 1, 0), vec![1.0, 2.0, 3.0], &[1, 3]).unwrap();
+            c.post(0, (MAIL_U12, 0, 1, 0), vec![1.0, 2.0, 3.0], &[1, 3]);
             assert_eq!(*h.join().unwrap(), vec![1.0, 2.0, 3.0]);
         });
         // Rank 1's copy sits in its channel until something looks for it.
@@ -578,48 +342,77 @@ mod tests {
         assert_eq!(c.residual_words(), 0);
     }
 
+    /// One panicking task must not cascade: concurrent executor tasks of
+    /// one rank share its stash lock, and a task that dies holding it
+    /// leaves the lock usable for every later post, fetch, evict and
+    /// drain.
     #[test]
-    fn threaded_cancel_unblocks_fetches_everywhere() {
+    fn in_process_survives_a_poisoned_lock_without_cascading() {
+        let c = ThreadedComm::new(2);
+        c.post(0, KEY, vec![4.0], &[0]);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = c.boxes[0].stash.lock().unwrap();
+            panic!("task died holding the stash");
+        }));
+        assert!(poison.is_err());
+        assert!(
+            c.boxes[0].stash.is_poisoned(),
+            "the lock must actually be poisoned for this test to bite"
+        );
+        // Every op still works on the poisoned lock.
+        c.post(1, (MAIL_WBK, 3, 0, 0), vec![1.0, 2.0, 3.0], &[0]);
+        assert_eq!(*c.fetch(0, KEY).unwrap(), vec![4.0]);
+        assert_eq!(c.fetch(0, (MAIL_WBK, 3, 0, 0)).unwrap().len(), 3);
+        c.evict_before(0, 0);
+        assert_eq!(c.drain(), 4);
+        assert_eq!(c.residual_words(), 0);
+    }
+
+    #[test]
+    fn cancel_unblocks_fetches_everywhere() {
         let c = ThreadedComm::new(2);
         std::thread::scope(|s| {
             let c = &c;
             let h = s.spawn(move || c.fetch(1, (MAIL_PAN, 9, 0, 0)));
             std::thread::sleep(Duration::from_millis(30));
-            c.cancel(0);
+            c.cancel();
             assert_eq!(h.join().unwrap(), Err(Error::Canceled));
         });
-        // New fetches fail fast too; already-stashed payloads still serve.
-        c.post(0, KEY, vec![5.0], &[0]).unwrap();
+        // New fetches fail fast too; already-delivered payloads still serve.
+        c.post(0, KEY, vec![5.0], &[0]);
         assert_eq!(*c.fetch(0, KEY).unwrap(), vec![5.0]);
         assert_eq!(c.fetch(0, (MAIL_PAN, 9, 0, 0)), Err(Error::Canceled));
     }
 
     #[test]
-    fn threaded_evicts_old_steps_per_rank() {
+    fn evicts_old_steps_per_rank() {
         let c = ThreadedComm::new(2);
-        c.post(0, (MAIL_ACC, 1, 0, 0), vec![1.0], &[0]).unwrap();
-        c.post(0, (MAIL_ACC, 5, 0, 0), vec![2.0], &[0, 1]).unwrap();
+        c.post(0, (MAIL_ACC, 1, 0, 0), vec![1.0], &[0]);
+        c.post(0, (MAIL_ACC, 5, 0, 0), vec![2.0], &[0, 1]);
         c.evict_before(0, 3);
-        assert_eq!(c.peek_words(0, (MAIL_ACC, 1, 0, 0)), 0);
-        assert_eq!(c.peek_words(0, (MAIL_ACC, 5, 0, 0)), 1);
+        assert_eq!(stashed(&c, 0, (MAIL_ACC, 1, 0, 0)), 0);
+        assert_eq!(stashed(&c, 0, (MAIL_ACC, 5, 0, 0)), 1);
         // Rank 1 evicts independently; its in-flight copy is untouched.
         c.evict_before(1, 3);
         assert_eq!(*c.fetch(1, (MAIL_ACC, 5, 0, 0)).unwrap(), vec![2.0]);
     }
 
     #[test]
-    fn threaded_wait_clocks_charge_blocking_fetches_only() {
+    fn wait_clocks_charge_blocking_fetches_only() {
         let c = ThreadedComm::new(2);
         // Stash hit: no wait recorded.
-        c.post(0, KEY, vec![1.0], &[0]).unwrap();
+        c.post(0, KEY, vec![1.0], &[0]);
         assert_eq!(*c.fetch(0, KEY).unwrap(), vec![1.0]);
-        assert!(c.wait_ns(0).is_empty(), "stash hits must not charge the wait clock");
+        // Delivered before the fetch (still in the inbox): no wait either.
+        c.post(1, (MAIL_WBK, 0, 0, 0), vec![3.0], &[0]);
+        assert_eq!(*c.fetch(0, (MAIL_WBK, 0, 0, 0)).unwrap(), vec![3.0]);
+        assert!(c.wait_ns(0).is_empty(), "delivered payloads must not charge the wait clock");
         // Blocked fetch: the wait lands on the key's ledger term.
         std::thread::scope(|s| {
             let c = &c;
             let h = s.spawn(move || c.fetch(1, (MAIL_U12, 0, 2, 0)).unwrap());
             std::thread::sleep(Duration::from_millis(30));
-            c.post(0, (MAIL_U12, 0, 2, 0), vec![2.0], &[1]).unwrap();
+            c.post(0, (MAIL_U12, 0, 2, 0), vec![2.0], &[1]);
             assert_eq!(*h.join().unwrap(), vec![2.0]);
         });
         let waits = c.wait_ns(1);
@@ -635,26 +428,13 @@ mod tests {
     }
 
     #[test]
-    fn mpi_stub_refuses_data_operations() {
-        let c = MpiComm::new();
-        assert_eq!(c.name(), "mpi");
-        let err = c.post(0, KEY, vec![], &[1]).unwrap_err();
-        assert!(matches!(err, Error::Unsupported { .. }));
-        assert!(c.fetch(0, KEY).is_err());
-        assert_eq!(c.peek_words(0, KEY), 0);
-        assert_eq!(c.drain(), 0);
-        // And the trait-object path the driver uses dispatches to it.
-        let dynamic: &dyn Communicator = &c;
-        assert!(dynamic.fetch(0, KEY).is_err());
-    }
-
-    #[test]
     fn comm_kind_labels_and_parsing_round_trip() {
-        for kind in [CommKind::InProcess, CommKind::Threaded, CommKind::Mpi] {
+        for kind in [CommKind::InProcess, CommKind::Threaded] {
             assert_eq!(CommKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(CommKind::default(), CommKind::InProcess);
         assert_eq!(CommKind::parse("in-process"), Some(CommKind::InProcess));
+        assert_eq!(CommKind::parse("mpi"), None);
         assert_eq!(CommKind::parse("carrier-pigeon"), None);
     }
 }

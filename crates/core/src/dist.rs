@@ -10,10 +10,12 @@
 //!   partial-pivoting baselines, and to rounding for CALU. The default
 //!   entry points are **runtime-driven**: each rank's per-step work runs
 //!   as a `calu-runtime` task DAG (see [`crate::dist_rt`], which also
-//!   exposes lookahead depth and executor choice); the hand-written SPMD
-//!   step loops are kept verbatim as [`dist_calu_factor_spmd`] /
-//!   [`dist_pdgetrf_factor_spmd`] — the pre-refactor references the DAG
-//!   path is asserted bitwise equal to.
+//!   exposes lookahead depth and the choice of driver). CALU's
+//!   hand-written SPMD step loop is kept verbatim as
+//!   [`dist_calu_factor_spmd`] — the reference the DAG path is asserted
+//!   bitwise equal to; `PDGETRF` needs no such reference, since it is
+//!   bitwise equal to the sequential blocked
+//!   [`calu_matrix::lapack::getrf`].
 //! * **Cost-skeleton** ([`skeleton_tslu`], [`skeleton_pdgetf2`],
 //!   [`skeleton_calu`], [`skeleton_pdgetrf`], [`skeleton_calu_lookahead`])
 //!   — full control flow with [`Payload::Empty`] messages and modeled word
@@ -652,8 +654,7 @@ pub fn dist_calu_factor<T: Scalar>(
 /// Runtime-driven ScaLAPACK-style `PDGETRF` — the default path: delegates
 /// to [`crate::dist_rt::dist_pdgetrf_factor_rt`] (depth 1, serial
 /// executor). Factors stay bitwise identical to the sequential blocked
-/// [`calu_matrix::lapack::getrf`] and to the SPMD reference
-/// [`dist_pdgetrf_factor_spmd`].
+/// [`calu_matrix::lapack::getrf`].
 pub fn dist_pdgetrf_factor<T: Scalar>(
     a: &Matrix<T>,
     cfg: DistPdgetrfConfig,
@@ -810,183 +811,6 @@ pub fn dist_calu_factor_spmd<T: Scalar>(
             }
 
             // --- Trailing update.
-            st.trailing_update(cm, &rowg, &colg, k, jb, cprow, cpcol);
-
-            k += jb;
-            ib += 1;
-        }
-        (st.local, ipiv, first_singular)
-    });
-
-    (report, assemble_factors(TileLayout::new(m, n, b, b).with_grid(pr, pc), results))
-}
-
-/// Real-data ScaLAPACK-style `PDGETRF` on the same 2D block-cyclic layout:
-/// the panel is factored column by column (`PDGETF2` — local scan, combine
-/// along the process column, physical pivot-row exchange, local rank-1
-/// update), then the swaps are applied to the rest of the matrix
-/// (`PDLASWP`) and the `trsm`/`gemm` trailing update runs.
-///
-/// The hand-written SPMD step loop — the **pre-refactor reference**; see
-/// [`dist_calu_factor_spmd`]. New code should call [`dist_pdgetrf_factor`].
-///
-/// Bitwise identical to the sequential blocked
-/// [`calu_matrix::lapack::getrf`] — asserted by the property tests.
-pub fn dist_pdgetrf_factor_spmd<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistPdgetrfConfig,
-    mch: MachineConfig,
-) -> (SimReport, DistFactors<T>) {
-    let (m, n) = (a.rows(), a.cols());
-    let kn = m.min(n);
-    let DistPdgetrfConfig { b, pr, pc } = cfg;
-    assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
-    let grid = Grid::new(pr, pc);
-
-    let (report, results) = run_sim(grid.size(), mch, |cm| {
-        let rank = cm.rank();
-        let mach = cm.machine().clone();
-        let mut st = Rank2d::new(a, b, pr, pc, rank);
-        let colg = grid.col_group(rank);
-        let rowg = grid.row_group(rank);
-        let mut ipiv = vec![0usize; kn];
-        let mut first_singular: Option<usize> = None;
-
-        let mut k = 0;
-        let mut ib = 0u64;
-        while k < kn {
-            let jb = b.min(kn - k);
-            let cprow = (ib as usize) % pr;
-            let cpcol = (ib as usize) % pc;
-
-            // --- PDGETF2 panel over the owning process column.
-            let local_ipiv: Vec<usize> = if st.pcol == cpcol {
-                let pl0 = st.lcol_at(k);
-                let mut li_piv = vec![0usize; jb];
-                for jj in 0..jb {
-                    let gc = k + jj;
-                    // Local scan (first strict max, ascending global order).
-                    let r0 = st.lrow_at(gc);
-                    let active = st.local.rows() - r0;
-                    cm.compute(active as f64 * mach.gamma1, 0.0);
-                    let (mut best, mut best_g, mut best_v) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-                    for li in r0..st.local.rows() {
-                        let v = st.local[(li, pl0 + jj)];
-                        if v.abs() > best {
-                            best = v.abs();
-                            best_g = st.grow(li);
-                            best_v = v;
-                        }
-                    }
-                    let mut pl = vec![best.to_f64(), best_g as f64, best_v.to_f64()];
-                    if best_g != usize::MAX && jj + 1 < jb {
-                        let li = st.layout.local_row(best_g);
-                        pl.extend((jj + 1..jb).map(|c| st.local[(li, pl0 + c)].to_f64()));
-                    } else {
-                        pl.extend(std::iter::repeat_n(0.0, jb - jj - 1));
-                    }
-                    let words = jb + 2;
-                    let red = colg.reduce(cm, Payload::Data(pl), words, |_cm, lo, hi| {
-                        let lo_v = lo.into_data();
-                        let hi_v = hi.into_data();
-                        // Ties resolve to the lower process row, whose
-                        // candidate has the smaller global index within
-                        // its block — but across blocks the global order
-                        // interleaves, so compare indices explicitly.
-                        if hi_v[0] > lo_v[0]
-                            || (hi_v[0] == lo_v[0] && (hi_v[1] as usize) < (lo_v[1] as usize))
-                        {
-                            Payload::Data(hi_v)
-                        } else {
-                            Payload::Data(lo_v)
-                        }
-                    });
-                    let win = colg.bcast(cm, 0, red.unwrap_or(Payload::Empty), words).into_data();
-                    let (piv_abs, piv_g, piv_v) =
-                        (T::from_f64(win[0]), win[1] as usize, T::from_f64(win[2]));
-                    li_piv[jj] = piv_g - k;
-                    let eliminate = piv_abs != T::ZERO && piv_abs.is_finite();
-                    if !eliminate {
-                        // DGETF2's INFO path: first zero pivot recorded,
-                        // elimination skipped, sweep continues.
-                        first_singular = first_singular.or(Some(k + jj));
-                    }
-                    if eliminate {
-                        // Swap rows gc <-> piv_g across the panel columns.
-                        if piv_g != gc {
-                            let tag = 0x5046_0000_0000 + ib * 4096 + jj as u64;
-                            st.swap_global_rows(cm, &grid, (gc, piv_g), (pl0, pl0 + jb), tag);
-                        }
-                        // Scale + rank-1 update on my sub-pivot rows,
-                        // walking the column's tile segments (elementwise
-                        // identical to the flat column sweep).
-                        let r1 = st.lrow_at(gc + 1);
-                        let lr = st.local.rows();
-                        let below = lr - r1;
-                        if below > 0 {
-                            let inv = piv_v.recip();
-                            cm.compute(mach.gamma_div + below as f64 * mach.gamma1, below as f64);
-                            st.local.for_each_col_segment_mut(pl0 + jj, r1..lr, |_, seg| {
-                                scal(inv, seg);
-                            });
-                            if jj + 1 < jb {
-                                cm.compute(
-                                    mach.t_ger(below, jb - jj - 1),
-                                    flops_ger(below, jb - jj - 1),
-                                );
-                                let urow: Vec<T> = cast_slice(&win[3..3 + (jb - jj - 1)]);
-                                // The panel's columns live in one column
-                                // tile (pl0 is tile-aligned, jb <= b); the
-                                // rank-1 update runs per row tile, with
-                                // the multiplier column and the trailing
-                                // block split out of the same tile view.
-                                let lay = st.local.layout();
-                                let (tjc, jc) = (pl0 / b, pl0 % b);
-                                for (ti, rr) in lay.row_tile_span(r1..lr) {
-                                    let t = st.local.tile_mut(ti, tjc);
-                                    let (left, mut right) = t.split_at_col_mut(jc + jj + 1);
-                                    let l_col = &left.col(jc + jj)[rr.clone()];
-                                    let trailing =
-                                        right.submatrix_mut(rr.start, 0, rr.len(), jb - jj - 1);
-                                    ger(-T::ONE, l_col, &urow, trailing);
-                                }
-                            }
-                        }
-                    }
-                }
-                let pl: Vec<f64> = li_piv.iter().map(|&x| x as f64).collect();
-                rowg.bcast(cm, cpcol, Payload::Data(pl), jb);
-                li_piv
-            } else {
-                let pl = rowg.bcast(cm, cpcol, Payload::Empty, jb).into_data();
-                pl.into_iter().map(|x| x as usize).collect()
-            };
-            for (i, &p) in local_ipiv.iter().enumerate() {
-                ipiv[k + i] = k + p;
-            }
-
-            // --- PDLASWP: apply the panel's swaps to the non-panel columns.
-            let (pl0, pl1) = if st.pcol == cpcol {
-                let c = st.lcol_at(k);
-                (c, c + jb)
-            } else {
-                (0, 0)
-            };
-            for (i, &p) in local_ipiv.iter().enumerate() {
-                if p != i {
-                    let (r1, r2) = (k + i, k + p);
-                    let tag = 0x4C57_0000_0000 + ib * 4096 + i as u64;
-                    if pl0 > 0 {
-                        st.swap_global_rows(cm, &grid, (r1, r2), (0, pl0), tag);
-                    }
-                    let ncols = st.local.cols();
-                    if pl1 < ncols || (pl0 == 0 && pl1 == 0 && ncols > 0) {
-                        st.swap_global_rows(cm, &grid, (r1, r2), (pl1, ncols), tag + 1);
-                    }
-                }
-            }
-
-            // --- Trailing update (identical to CALU's).
             st.trailing_update(cm, &rowg, &colg, k, jb, cprow, cpcol);
 
             k += jb;

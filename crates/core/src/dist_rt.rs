@@ -1,65 +1,57 @@
 //! Runtime-driven distributed CALU / `PDGETRF`: each rank's per-step work
-//! is emitted as a `calu-runtime` DAG ([`LuDag::build_dist`]) instead of
-//! the hand-written SPMD step loop, so lookahead depth and critical-path
-//! scheduling — long available to the shared-memory layer — apply to the
-//! distributed setting too.
+//! is emitted as a `calu-runtime` DAG ([`LuDag::build_dist`]), so
+//! lookahead depth and critical-path scheduling — long available to the
+//! shared-memory layer — apply to the distributed setting too.
 //!
-//! The runner binds real kernels over **all** ranks' block-cyclic
-//! [`TileMatrix`] storage at once (the simulation's shared memory): every
-//! task touches exactly the tiles its owning rank would touch, cross-rank
-//! data flows through a mailbox of `f64`-word payloads keyed per message
-//! (the same payload convention `calu-netsim` sends over channels —
-//! `T ↔ f64` round trips are exact for every [`Scalar`]), and the DAG's
-//! edges are the proof that concurrently running tasks touch disjoint
-//! elements. Because each task replays the exact arithmetic of the SPMD
-//! sweep ([`dist_calu_factor_spmd`](crate::dist::dist_calu_factor_spmd) /
-//! [`dist_pdgetrf_factor_spmd`](crate::dist::dist_pdgetrf_factor_spmd)),
-//! factors are **bitwise identical** to the pre-refactor distributed
-//! implementations on any schedule, any executor, any lookahead depth —
-//! the property tests assert it.
+//! Every rank owns only its own block-cyclic [`TileMatrix`]; the task
+//! bodies ([`crate::dist_threaded`]) touch that storage and nothing else,
+//! and every cross-rank payload travels as a keyed `f64`-word message
+//! through a [`ThreadedComm`] (`T ↔ f64` round trips are exact for every
+//! [`Scalar`]). Two drivers run the same bodies and send the same
+//! messages, selected by [`DistRtOpts::communicator`]:
+//!
+//! * [`CommKind::InProcess`] — one DAG for the whole grid, driven by
+//!   [`DistRtOpts::executor`]; each task runs the body of its rank. The
+//!   DAG's edges order every post before its fetches and are the proof
+//!   that concurrently running tasks of one rank touch disjoint elements.
+//! * [`CommKind::Threaded`] — every rank an OS thread running its
+//!   projection of the DAG's serial schedule, with blocking fetches.
+//!
+//! Factors are **bitwise identical** on any schedule, any executor, any
+//! lookahead depth, under both drivers: to the SPMD reference
+//! [`dist_calu_factor_spmd`](crate::dist::dist_calu_factor_spmd) for
+//! CALU, and to the sequential blocked [`calu_matrix::lapack::getrf`] for
+//! `PDGETRF` — the property tests assert it.
 //!
 //! # Failure semantics
 //!
 //! A singular pivot (exactly zero, or non-finite) on any rank fails its
-//! task; the executor cancels every dependent task **across ranks** (no
-//! hang — dependents simply never start) and the driver surfaces the
-//! absolute elimination step as [`DistFactors::first_singular`], matching
-//! the step the sequential references error at. Unlike the SPMD loop,
-//! which marches on LAPACK-INFO-style, the canceled factors beyond that
+//! task; the run is canceled **across ranks** (no hang — under the
+//! executor dependents never start, on rank threads every blocked fetch
+//! returns [`Error::Canceled`]) and the driver surfaces the absolute
+//! elimination step as [`DistFactors::first_singular`], matching the step
+//! the sequential references error at. The canceled factors beyond that
 //! step are untouched — the leading part is still meaningful.
 //!
 //! # Reports
 //!
-//! Execution is instant shared-memory compute; the *communication* story
-//! is modeled: [`DistRtReport`] carries the per-rank modeled schedule
+//! [`DistRtReport`] carries the measured side — the communication ledger
+//! of every message the bodies sent, the wall-clock [`ExecReport`] and
+//! task spans — next to the modeled side: the per-rank schedule
 //! ([`simulate_dist_schedule`] under a [`DistCostModel`]) as netsim
-//! [`RankTrace`]s — compute and communication of all ranks in one Gantt —
-//! plus a synthesized [`SimReport`] and the wall-clock [`ExecReport`] of
-//! whichever executor actually ran the tasks.
+//! [`RankTrace`]s, a synthesized [`SimReport`], and the exact and
+//! skeleton traffic predictions the ledger reconciles against.
 
-use std::sync::Arc;
-
-use crate::comm::{
-    CommKind, Communicator, InProcessComm, MpiComm, MAIL_ACC as ACC, MAIL_PAN as PAN,
-    MAIL_PIV as PIV, MAIL_U12 as U12, MAIL_WBK as WBK,
-};
+use crate::comm::{CommKind, ThreadedComm};
 use crate::dist::{assemble_2d, DistCaluConfig, DistFactors, DistPdgetrfConfig};
-use crate::tournament::{reduce_pair, Candidates};
-use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
-use calu_matrix::blas1::scal;
-use calu_matrix::blas2::ger;
-use calu_matrix::blas3::{gemm, trsm};
-use calu_matrix::lapack::lu_nopiv;
-use calu_matrix::scalar::cast_slice;
-use calu_matrix::{
-    Diag, Error, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, TileMatrix, Uplo,
-};
+use crate::dist_threaded::{participants, run_rank_threads, RankWorker};
+use crate::tslu::LocalLu;
+use calu_matrix::{Error, MatViewMut, Matrix, Scalar, TileLayout, TileMatrix};
 use calu_netsim::{MachineConfig, RankTrace, SimReport};
 use calu_obs::{CommDelta, CommLedger, CommLedgerReport, CommTerm, Recorder, Span};
 use calu_runtime::{
-    expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule, tslu_acc_slot,
-    tslu_leg_count, tslu_leg_role, DistCostModel, DistGeom, DistKind, DistPanelAlg, DistTask,
-    ExecReport, ExecutorKind, LegRole, LuDag, LuShape, Task, TaskRunner,
+    expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule, DistCostModel, DistGeom,
+    DistPanelAlg, ExecReport, ExecutorKind, LuDag, LuShape, Task,
 };
 
 /// How a runtime-driven distributed factorization should execute.
@@ -72,15 +64,13 @@ pub struct DistRtOpts {
     /// Which executor drives the DAG. The serial executor replays the
     /// deterministic critical-path order; the threaded executor runs
     /// ranks' tasks concurrently (factors are bitwise identical either
-    /// way). Under the [`CommKind::Threaded`] communicator the rank
-    /// threads *are* the parallelism and this field is ignored.
+    /// way). Under [`CommKind::Threaded`] the rank threads *are* the
+    /// parallelism and this field is ignored.
     pub executor: ExecutorKind,
-    /// Which [`Communicator`] moves cross-rank payloads:
-    /// [`CommKind::InProcess`] (the shared mailbox, behavior-preserving
-    /// default), [`CommKind::Threaded`] (ranks as OS threads over
-    /// per-rank channels), or [`CommKind::Mpi`] (the error-returning
-    /// stub). Factors are bitwise identical under every supported
-    /// backend.
+    /// Which driver runs the ranks' task bodies: [`CommKind::InProcess`]
+    /// (one DAG for the whole grid under [`Self::executor`], the default)
+    /// or [`CommKind::Threaded`] (every rank an OS thread). Both send the
+    /// same messages; factors are bitwise identical under either.
     pub communicator: CommKind,
 }
 
@@ -109,8 +99,8 @@ pub struct DistRtReport {
     pub makespan: f64,
     /// Task count of the DAG.
     pub tasks: usize,
-    /// **Measured** communication ledger: every mailbox post/arrival and
-    /// cross-owner pivot-row exchange the runner actually performed,
+    /// **Measured** communication ledger: every message arrival and
+    /// cross-owner pivot-row exchange the task bodies actually performed,
     /// counted per rank and per term, plus the end-of-run drain counters
     /// (`drained_words` is nonzero on success — the lookahead eviction
     /// horizon keeps the last window's payloads alive; `residual_words`
@@ -118,7 +108,8 @@ pub struct DistRtReport {
     pub comm: CommLedgerReport,
     /// **Exact** expected mailbox traffic of this DAG
     /// ([`expected_mailbox_comm`]): candidate counts simulated through the
-    /// butterfly, broadcast payloads from geometry. The measured ledger
+    /// butterfly, broadcast payloads and the `PDGETF2` picket fence from
+    /// geometry. The measured ledger
     /// equals it term-for-term — [`Self::mailbox_deltas`] asserts so in
     /// the reconciliation tests.
     pub expected_mailbox: Vec<CommTerm>,
@@ -127,11 +118,11 @@ pub struct DistRtReport {
     /// price. [`Self::skeleton_deltas`] quantifies the gap to the wire.
     pub modeled_terms: Vec<CommTerm>,
     /// Wall-clock spans of every executed task (pid = rank, tid =
-    /// worker), ready for [`calu_obs::chrome_trace`] export. On a
+    /// worker, or the rank itself on rank threads), ready for [`calu_obs::chrome_trace`] export. On a
     /// canceled run (singular pivot) the tasks that completed before
     /// cancellation are still present.
     pub spans: Vec<Span>,
-    /// Stable name of the [`Communicator`] that moved the payloads
+    /// [`CommKind::label`] of the driver that ran the bodies
     /// (`"in_process"` or `"threaded"`).
     pub communicator: &'static str,
 }
@@ -139,8 +130,8 @@ pub struct DistRtReport {
 impl DistRtReport {
     /// Measured mailbox ledger vs the exact predictor — every delta whose
     /// source is `"mailbox_exact"` is exact on a successful run; the
-    /// `swap` term surfaces as unmodeled (pivot-row exchanges move
-    /// elements directly between rank storages, never via the mailbox).
+    /// `swap` term surfaces as unmodeled (its pivot-row exchanges are
+    /// data-dependent).
     pub fn mailbox_deltas(&self) -> Vec<CommDelta> {
         self.comm.reconcile(&self.expected_mailbox)
     }
@@ -185,10 +176,10 @@ impl DistRtReport {
 // ---------------------------------------------------------------------------
 
 /// Shared-mutable handle to one rank's local [`TileMatrix`] — the
-/// per-rank counterpart of `rt`'s `SharedTiles`. The DAG's edges prove
-/// that concurrently running tasks touch disjoint elements. (The
-/// rank-thread driver in [`crate::dist_threaded`] reuses it with a
-/// stronger guarantee: one thread owns the whole matrix.)
+/// per-rank counterpart of `rt`'s `SharedTiles`. On a rank thread one
+/// thread runs every task that touches it; under the executor driver the
+/// DAG's edges prove that concurrently running tasks of the rank touch
+/// disjoint elements.
 pub(crate) struct RankCell<T> {
     ptr: *mut T,
     pub(crate) lay: TileLayout,
@@ -243,9 +234,9 @@ impl<T: Scalar> RankCell<T> {
     }
 }
 
-/// Shared pivot vector (the `rt` module's cell, re-stated): the single
-/// designated panel task writes each step's slots exclusively; nothing
-/// reads them until assembly.
+/// Shared pivot vector (the `rt` module's cell, re-stated): the
+/// diagonal rank's panel task writes each step's slots exclusively;
+/// nothing reads them until assembly.
 pub(crate) struct IpivCell {
     pub(crate) ptr: *mut usize,
     pub(crate) len: usize,
@@ -267,630 +258,13 @@ impl IpivCell {
 }
 
 // ---------------------------------------------------------------------------
-// The runner
+// Driver
 // ---------------------------------------------------------------------------
 
-/// Binds the distributed kernels to runtime tasks over all ranks' tiles.
-struct DistRunner<T> {
-    geom: DistGeom,
-    glayout: TileLayout,
-    alg: DistPanelAlg,
-    local: LocalLu,
-    /// The DAG's lookahead depth — the eviction horizon of the mailbox.
-    lookahead: usize,
-    cells: Vec<RankCell<T>>,
-    ipiv: IpivCell,
-    /// The communicator seam, carrying cross-rank payloads `Arc`d so
-    /// consumers read without copying. This runner drives the shared
-    /// [`InProcessComm`] mailbox (held as a trait object so the seam the
-    /// rank-thread driver crosses is exercised here too): keys are unique
-    /// per message, the DAG orders every post before its fetches, no
-    /// payload is read across steps, and the panel throttle proves old
-    /// steps complete, so [`Self::evict_completed_steps`] bounds the
-    /// mailbox to the lookahead window.
-    comm: Box<dyn Communicator>,
-    /// Measured communication: every mailbox send/arrival and cross-owner
-    /// pivot-row exchange, counted per rank per term as it happens.
-    ledger: CommLedger,
-}
-
-impl<T: Scalar> DistRunner<T> {
-    fn cell(&self, prow: usize, pcol: usize) -> &RankCell<T> {
-        &self.cells[pcol * self.geom.pr + prow]
-    }
-
-    fn nb(&self) -> usize {
-        self.geom.shape.nb
-    }
-
-    /// Posts to the shared mailbox: `from`/destinations are implicit (the
-    /// DAG is the wire), so the seam's routing arguments stay empty.
-    fn post(&self, class: u8, k: usize, j: usize, who: usize, data: Vec<f64>) {
-        let key = (class, k as u32, j as u32, who as u32);
-        self.comm.post(0, key, data, &[]).expect("the in-process mailbox cannot refuse a post");
-    }
-
-    fn fetch(&self, class: u8, k: usize, j: usize, who: usize) -> Arc<Vec<f64>> {
-        let key = (class, k as u32, j as u32, who as u32);
-        self.comm.fetch(0, key).expect("the in-process mailbox cannot refuse a fetch")
-    }
-
-    /// The accumulator process row `r` reads after `l` butterfly legs —
-    /// keyed by [`tslu_acc_slot`], the same slot algebra the DAG builder's
-    /// edge endpoints use, so mailbox keys and edges cannot drift apart.
-    fn fetch_acc(&self, k: usize, l: usize, r: usize) -> Candidates<T> {
-        Candidates::from_payload(&self.fetch(ACC, k, tslu_acc_slot(self.geom.pr, l, r), r))
-    }
-
-    /// [`Self::fetch_acc`] for a *partner's* accumulator — the one fetch
-    /// in the butterfly that crosses ranks, i.e. the wire. The transfer is
-    /// ledgered here, at the consuming fetch (DAG-ordered after the
-    /// producer's post, so the payload length is exact on any schedule),
-    /// and attributed to the sending rank — which is precisely the leg's
-    /// send-role side (`Exchange` partners fetch each other, a
-    /// `FoldCombine` fetches its `FoldSend`, a `FoldRecv` its `FoldOut`),
-    /// so per-rank totals match the cost model's send accounting. The
-    /// send-half tasks themselves are no-op injection markers and cannot
-    /// be measured directly: their only DAG ordering against the producer
-    /// runs through this receiving task.
-    fn fetch_acc_wire(&self, k: usize, l: usize, r: usize) -> Candidates<T> {
-        let raw = self.fetch(ACC, k, tslu_acc_slot(self.geom.pr, l, r), r);
-        let sender = self.geom.rank(r, self.geom.pcol_of(k));
-        self.ledger.record_send(sender as u32, "tslu_leg", raw.len() as u64);
-        Candidates::from_payload(&raw)
-    }
-
-    /// Exchanges (or locally swaps) global rows `r1 != r2` across the
-    /// local columns `cols` of every rank in process column `pcol` — the
-    /// same element moves as the SPMD `swap_global_rows` (whose `f64`
-    /// round trip is exact, so direct copies are bitwise identical).
-    ///
-    /// # Safety
-    /// The calling task must own both rows over `cols` on this process
-    /// column (DAG-ordered against every other toucher).
-    unsafe fn swap_rows(&self, pcol: usize, r1: usize, r2: usize, cols: std::ops::Range<usize>) {
-        debug_assert!(r1 != r2);
-        let o1 = self.glayout.row_owner(r1);
-        let o2 = self.glayout.row_owner(r2);
-        let (l1, l2) = (self.glayout.local_row(r1), self.glayout.local_row(r2));
-        if o1 == o2 {
-            let c = self.cell(o1, pcol);
-            for lj in cols {
-                unsafe {
-                    let a = c.get(l1, lj);
-                    c.set(l1, lj, c.get(l2, lj));
-                    c.set(l2, lj, a);
-                }
-            }
-        } else {
-            let (c1, c2) = (self.cell(o1, pcol), self.cell(o2, pcol));
-            for lj in cols {
-                unsafe {
-                    let a = c1.get(l1, lj);
-                    c1.set(l1, lj, c2.get(l2, lj));
-                    c2.set(l2, lj, a);
-                }
-            }
-        }
-    }
-
-    /// Local column range of block column `j` on its owning process
-    /// column, restricted to the columns step `k`'s swap touches.
-    fn swap_cols(&self, k: usize, j: usize) -> std::ops::Range<usize> {
-        let b = self.nb();
-        let c0 = self.glayout.local_cols_below(self.geom.pcol_of(j), j * b);
-        let wj = self.geom.wj(j);
-        match self.alg {
-            DistPanelAlg::Tslu => c0..c0 + wj,
-            DistPanelAlg::Getf2 => {
-                if j == k {
-                    c0 + self.geom.jb(k)..c0 + wj
-                } else {
-                    c0..c0 + wj
-                }
-            }
-        }
-    }
-
-    /// Packs local elements column-major as `f64` words, exactly like the
-    /// SPMD payloads.
-    ///
-    /// # Safety
-    /// The calling task must be ordered after the last writer of the
-    /// range.
-    unsafe fn pack(
-        &self,
-        cell: &RankCell<T>,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> Vec<f64> {
-        let mut v = Vec::with_capacity(rows.len() * cols.len());
-        for lj in cols {
-            v.extend(rows.clone().map(|li| unsafe { cell.get(li, lj) }.to_f64()));
-        }
-        v
-    }
-
-    // -- task bodies --------------------------------------------------------
-
-    /// Drops every payload of steps the lookahead throttle proves
-    /// complete: a panel task of step `k` carries edges from *all* tasks
-    /// of step `k − d − 1` (and, inductively through the panel chain, of
-    /// every earlier step), and no task reads mail posted by another
-    /// step — so payloads with step `≤ k − d − 1` are dead. Keeps the
-    /// mailbox's footprint proportional to the lookahead window instead
-    /// of the whole factorization.
-    fn evict_completed_steps(&self, k: usize) {
-        if k > self.lookahead {
-            let cutoff = (k - self.lookahead - 1) as u32;
-            self.comm.evict_before(0, cutoff);
-        }
-    }
-
-    /// Empties the mailbox and returns how many payload words were still
-    /// posted. Called by the driver once the executor returns — on the
-    /// success path (the last lookahead window's payloads are still
-    /// resident) and, crucially, after a cancellation, where payloads
-    /// posted for recv tasks that were canceled have no remaining reader
-    /// and would leak for the runner's lifetime. (Every [`Communicator`]
-    /// lock site recovers from poisoning — drain runs during shutdown,
-    /// where a panicked task must not block the cleanup.)
-    fn drain_mailbox(&self) -> usize {
-        self.comm.drain()
-    }
-
-    /// Payload words currently posted (the post-drain residual check).
-    fn mailbox_words(&self) -> usize {
-        self.comm.residual_words()
-    }
-
-    /// Words of one posted payload — 0 if the slot is absent. Used by the
-    /// ledger to measure what actually sits in the mailbox (every peeked
-    /// slot is a DAG ancestor of the peeking task, so it cannot race with
-    /// its producer, and the current step is never evicted).
-    fn mail_len(&self, class: u8, k: usize, j: usize, who: usize) -> usize {
-        self.comm.peek_words(0, (class, k as u32, j as u32, who as u32))
-    }
-
-    /// Ledger entry for one completed communication task — the measured
-    /// side of the reconciliation against [`expected_mailbox_comm`] /
-    /// [`modeled_comm_terms`]. Terms mirror
-    /// [`calu_runtime::dist_comm_term`] exactly: broadcast payloads are
-    /// counted once per receiver, measured from the payload actually in
-    /// the mailbox. Pure sends (`PivSend`/`WSend`/`PanelSend`/`USend`)
-    /// are transit in the cost model and carry no mailbox arrival of
-    /// their own, so — like the model — they add nothing here; the
-    /// `tslu_leg` and `swap` terms are recorded where their transfers
-    /// happen, in [`Self::fetch_acc_wire`] and [`Self::run_swap`].
-    fn account(&self, kind: DistKind, k: usize, j: usize, rank: usize, prow: usize) {
-        let g = &self.geom;
-        let rank = rank as u32;
-        match kind {
-            DistKind::PivRecv => {
-                // The canonical PIV slot may not be posted yet (this
-                // receiver's only mailbox dependence is its own process
-                // row's no-op send) — but the list is always jb entries.
-                self.ledger.record_recv(rank, "piv_bcast", g.jb(k) as u64);
-            }
-            DistKind::PanelRecv => {
-                let words = self.mail_len(PAN, k, 0, prow);
-                self.ledger.record_recv(rank, "panel_bcast", words as u64);
-            }
-            DistKind::URecv => {
-                let words = self.mail_len(U12, k, j, 0);
-                self.ledger.record_recv(rank, "u_bcast", words as u64);
-            }
-            DistKind::Second if prow != g.cprow(k) => {
-                let words = self.mail_len(WBK, k, 0, 0);
-                self.ledger.record_recv(rank, "w_bcast", words as u64);
-            }
-            _ => {}
-        }
-    }
-
-    fn run_cand(&self, k: usize, prow: usize) -> Result<()> {
-        self.evict_completed_steps(k);
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cpcol = g.pcol_of(k);
-        let cell = self.cell(prow, cpcol);
-        let lr = cell.rows();
-        let lr_k = self.glayout.local_rows_below(prow, gk);
-        let lrows = lr - lr_k;
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        let block = Matrix::from_fn(lrows, jb, |i, j| unsafe { cell.get(lr_k + i, pl0 + j) });
-        let idx: Vec<usize> = (lr_k..lr).map(|li| self.glayout.global_row(prow, li) - gk).collect();
-        let cand = if lrows > 0 {
-            local_candidates(&block, &idx, self.local)
-        } else {
-            Candidates::<T>::new(Matrix::zeros(0, jb), vec![])
-        };
-        self.post(ACC, k, 0, prow, cand.to_payload());
-        Ok(())
-    }
-
-    fn run_tslu_leg(&self, k: usize, leg: usize, prow: usize) -> Result<()> {
-        match tslu_leg_role(self.geom.pr, leg, prow) {
-            LegRole::Exchange { partner } => {
-                let mine = self.fetch_acc(k, leg, prow);
-                let theirs = self.fetch_acc_wire(k, leg, partner);
-                // The combine is ordered by member index, exactly as the
-                // netsim butterfly orders it.
-                let acc = if prow < partner {
-                    reduce_pair(&mine, &theirs)
-                } else {
-                    reduce_pair(&theirs, &mine)
-                };
-                self.post(ACC, k, leg + 1, prow, acc.to_payload());
-            }
-            LegRole::FoldCombine { partner } => {
-                let mine = self.fetch_acc(k, leg, prow);
-                let theirs = self.fetch_acc_wire(k, leg, partner);
-                let acc = reduce_pair(&mine, &theirs);
-                self.post(ACC, k, leg + 1, prow, acc.to_payload());
-            }
-            LegRole::FoldRecv { partner } => {
-                let theirs: Candidates<T> = self.fetch_acc_wire(k, leg, partner);
-                self.post(ACC, k, leg + 1, prow, theirs.to_payload());
-            }
-            // Send halves: the data is read from the producer's slot by
-            // the receiving side; the task models the injection.
-            LegRole::FoldSend { .. } | LegRole::FoldOut { .. } => {}
-            LegRole::Idle => unreachable!("idle legs are not emitted"),
-        }
-        Ok(())
-    }
-
-    fn run_piv_send(&self, k: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        if self.alg == DistPanelAlg::Getf2 {
-            // PDGETF2 computed and posted the list; this task models the
-            // row-broadcast injection only.
-            return Ok(());
-        }
-        if prow != g.cprow(k) {
-            // Redundant copies on the other process rows carry the same
-            // list; only the canonical (diagonal-row) slot is consumed.
-            return Ok(());
-        }
-        let gk = k * self.nb();
-        let winners: Candidates<T> = self.fetch_acc(k, tslu_leg_count(g.pr), prow);
-        let li = winners_to_ipiv(&winners.rows, self.geom.shape.m - gk);
-        // SAFETY: the diagonal PivSend of step k is the only writer of
-        // these slots.
-        unsafe { self.ipiv.publish(gk, &li) };
-        self.post(PIV, k, 0, g.cprow(k), li.iter().map(|&x| x as f64).collect());
-        Ok(())
-    }
-
-    fn swap_list(&self, k: usize) -> Vec<usize> {
-        self.fetch(PIV, k, 0, self.geom.cprow(k)).iter().map(|&x| x as usize).collect()
-    }
-
-    fn run_swap(&self, k: usize, j: usize) -> Result<()> {
-        let gk = k * self.nb();
-        let li = self.swap_list(k);
-        let cols = self.swap_cols(k, j);
-        let pcol = self.geom.pcol_of(j);
-        if cols.is_empty() {
-            return Ok(());
-        }
-        for (i, &p) in li.iter().enumerate() {
-            if p != i {
-                let (r1, r2) = (gk + i, gk + p);
-                let (o1, o2) = (self.glayout.row_owner(r1), self.glayout.row_owner(r2));
-                if o1 != o2 {
-                    // Data-dependent cross-rank exchange: each owner ships
-                    // its row segment to the other. Measured here, at the
-                    // exchanging ranks — the skeleton prices the same term
-                    // as fixed pairwise-exchange rounds, and the gap
-                    // between the two is exactly what the reconciliation
-                    // report quantifies.
-                    let w = cols.len() as u64;
-                    self.ledger.record_send(self.geom.rank(o1, pcol) as u32, "swap", w);
-                    self.ledger.record_send(self.geom.rank(o2, pcol) as u32, "swap", w);
-                }
-                // SAFETY: Swap(k,j) owns rows ≥ k·nb of these columns
-                // across the process column.
-                unsafe { self.swap_rows(pcol, r1, r2, cols.clone()) };
-            }
-        }
-        Ok(())
-    }
-
-    fn run_w_send(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let (cprow, cpcol) = (g.cprow(k), g.pcol_of(k));
-        let cell = self.cell(cprow, cpcol);
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        // SAFETY: ordered after Swap(k,k), before every Second(k,·).
-        let w = unsafe { self.pack(cell, d0..d0 + jb, pl0..pl0 + jb) };
-        self.post(WBK, k, 0, 0, w);
-        Ok(())
-    }
-
-    fn run_second(&self, k: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let (cprow, cpcol) = (g.cprow(k), g.pcol_of(k));
-        let mut w: Matrix<T> =
-            Matrix::from_col_major(jb, jb, cast_slice(&self.fetch(WBK, k, 0, 0)));
-        // A genuinely singular panel cancels all dependents across ranks;
-        // the driver reports the absolute step (the SPMD loop records the
-        // same step INFO-style and marches on).
-        if let Err(Error::SingularPivot { step }) = lu_nopiv(w.view_mut(), &mut NoObs) {
-            return Err(Error::SingularPivot { step: gk + step });
-        }
-        let cell = self.cell(prow, cpcol);
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        if prow == cprow {
-            let d0 = self.glayout.local_rows_below(cprow, gk);
-            for lj in 0..jb {
-                for li in 0..jb {
-                    // SAFETY: Second(k, cprow) exclusively owns the W rows.
-                    unsafe { cell.set(d0 + li, pl0 + lj, w[(li, lj)]) };
-                }
-            }
-        }
-        let lb0 = self.glayout.local_rows_below(prow, gk + jb);
-        let lr = cell.rows();
-        if lr > lb0 {
-            let u11 = w.view().submatrix(0, 0, jb, jb);
-            let (tjc, jc) = (pl0 / b, pl0 % b);
-            for (ti, rr) in cell.lay.row_tile_span(lb0..lr) {
-                // SAFETY: Second(k, prow) owns its rank's L₂₁ rows.
-                let l21 = unsafe { cell.tile_block(ti, tjc, rr.start, jc, rr.len(), jb) };
-                trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, u11, l21);
-            }
-        }
-        Ok(())
-    }
-
-    fn run_panel_send(&self, k: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cpcol = g.pcol_of(k);
-        let cell = self.cell(prow, cpcol);
-        let lr = cell.rows();
-        let lr_k = self.glayout.local_rows_below(prow, gk);
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        // SAFETY: ordered after Second(k, prow) / PanelGetf2(k) — the
-        // last writers of this rank's panel rows.
-        let v = unsafe { self.pack(cell, lr_k..lr, pl0..pl0 + jb) };
-        self.post(PAN, k, 0, prow, v);
-        Ok(())
-    }
-
-    /// The local columns of block column `j` updated by step `k`'s
-    /// trailing work, as `(first local col, width, col tile, intra-tile
-    /// col)`.
-    fn upd_cols(&self, k: usize, j: usize) -> (usize, usize, usize, usize) {
-        let b = self.nb();
-        let pcol = self.geom.pcol_of(j);
-        let c0 = self.glayout.local_cols_below(pcol, j * b);
-        let skip = if j == k { self.geom.jb(k) } else { 0 };
-        let lo = c0 + skip;
-        let wid = self.geom.upd_width(k, j);
-        (lo, wid, c0 / b, lo - (c0 / b) * b)
-    }
-
-    fn run_trsm(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let cprow = g.cprow(k);
-        let pcol = g.pcol_of(j);
-        let lr_panel = g.panel_rows(cprow, k);
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, cprow)));
-        let l11 = panel_l.view().submatrix(0, 0, jb, jb);
-        let cell = self.cell(cprow, pcol);
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let (ti_d, i0) = (d0 / b, d0 % b);
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        // SAFETY: Trsm(k,j) owns rows d0..d0+jb of these columns.
-        let u12 = unsafe { cell.tile_block(ti_d, tj, i0, cr0, jb, wid) };
-        trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
-        Ok(())
-    }
-
-    fn run_u_send(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cprow = g.cprow(k);
-        let cell = self.cell(cprow, g.pcol_of(j));
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let (lo, wid, _tj, _cr0) = self.upd_cols(k, j);
-        // SAFETY: ordered after Trsm(k,j).
-        let v = unsafe { self.pack(cell, d0..d0 + jb, lo..lo + wid) };
-        self.post(U12, k, j, 0, v);
-        Ok(())
-    }
-
-    fn run_gemm(&self, k: usize, j: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let pcol = g.pcol_of(j);
-        let cell = self.cell(prow, pcol);
-        let lr = cell.rows();
-        let lr_k = self.glayout.local_rows_below(prow, gk);
-        let lr_panel = lr - lr_k;
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, prow)));
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        let u12: Matrix<T> = Matrix::from_col_major(jb, wid, cast_slice(&self.fetch(U12, k, j, 0)));
-        let lb0 = self.glayout.local_rows_below(prow, gk + jb);
-        for (ti, rr) in cell.lay.row_tile_span(lb0..lr) {
-            let l21 = panel_l.view().submatrix(ti * b + rr.start - lr_k, 0, rr.len(), jb);
-            // SAFETY: Gemm(k,j,rank) owns its rank's trailing rows of
-            // these columns.
-            let a22 = unsafe { cell.tile_block(ti, tj, rr.start, cr0, rr.len(), wid) };
-            gemm(-T::ONE, l21, u12.view(), T::ONE, a22);
-        }
-        Ok(())
-    }
-
-    /// The whole `PDGETF2` panel of step `k`, replayed across the process
-    /// column's rank storages in one task — elementwise identical to the
-    /// SPMD inner loop (scan / combine / pivot-row exchange / scale /
-    /// rank-1 update, column by column).
-    fn run_panel_getf2(&self, k: usize) -> Result<()> {
-        self.evict_completed_steps(k);
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let (pr, cprow, cpcol) = (g.pr, g.cprow(k), g.pcol_of(k));
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        let (tjc, jc) = (pl0 / b, pl0 % b);
-        let mut li_piv = Vec::with_capacity(jb);
-        for jj in 0..jb {
-            let gc = gk + jj;
-            // Local scans (first strict max in ascending global order),
-            // folded across process rows with the SPMD combine's
-            // max-abs / smaller-index tie-break — associative, so the
-            // linear fold equals the binomial reduce.
-            let (mut best, mut best_g, mut best_v) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-            for prow in 0..pr {
-                let cell = self.cell(prow, cpcol);
-                let r0 = self.glayout.local_rows_below(prow, gc);
-                let (mut ba, mut bg, mut bv) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-                for li in r0..cell.rows() {
-                    // SAFETY: PanelGetf2(k) owns the whole panel column.
-                    let v = unsafe { cell.get(li, pl0 + jj) };
-                    if v.abs() > ba {
-                        ba = v.abs();
-                        bg = self.glayout.global_row(prow, li);
-                        bv = v;
-                    }
-                }
-                if ba > best || (ba == best && bg < best_g) {
-                    best = ba;
-                    best_g = bg;
-                    best_v = bv;
-                }
-            }
-            li_piv.push(best_g - gk);
-            if !(best != T::ZERO && best.is_finite()) {
-                // The sequential reference errors here; dependents are
-                // canceled and the driver reports this absolute step.
-                return Err(Error::SingularPivot { step: gc });
-            }
-            // The winner's trailing row, captured before the exchange
-            // (the values the SPMD combine payload carries).
-            let urow: Vec<T> = if jj + 1 < jb {
-                let ow = self.glayout.row_owner(best_g);
-                let lw = self.glayout.local_row(best_g);
-                let cell = self.cell(ow, cpcol);
-                (jj + 1..jb).map(|c| unsafe { cell.get(lw, pl0 + c) }).collect()
-            } else {
-                Vec::new()
-            };
-            if best_g != gc {
-                // SAFETY: PanelGetf2(k) owns the panel column rows.
-                unsafe { self.swap_rows(cpcol, gc, best_g, pl0..pl0 + jb) };
-            }
-            let inv = best_v.recip();
-            for prow in 0..pr {
-                let cell = self.cell(prow, cpcol);
-                let r1 = self.glayout.local_rows_below(prow, gc + 1);
-                let lr = cell.rows();
-                if lr == r1 {
-                    continue;
-                }
-                for (ti, rr) in cell.lay.row_tile_span(r1..lr) {
-                    // SAFETY: exclusive panel-column ownership.
-                    let mut col =
-                        unsafe { cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
-                    scal(inv, col.col_mut(0));
-                }
-                if jj + 1 < jb {
-                    for (ti, rr) in cell.lay.row_tile_span(r1..lr) {
-                        let lview =
-                            unsafe { cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
-                        let trailing = unsafe {
-                            cell.tile_block(ti, tjc, rr.start, jc + jj + 1, rr.len(), jb - jj - 1)
-                        };
-                        ger(-T::ONE, lview.as_view().col(0), &urow, trailing);
-                    }
-                }
-            }
-        }
-        // SAFETY: PanelGetf2(k) is the only writer of these slots.
-        unsafe { self.ipiv.publish(gk, &li_piv) };
-        self.post(PIV, k, 0, cprow, li_piv.iter().map(|&x| x as f64).collect());
-        Ok(())
-    }
-}
-
-impl<T: Scalar> TaskRunner for DistRunner<T> {
-    fn run(&self, task: Task) -> Result<()> {
-        let Task::Dist(DistTask { kind, k, j, rank }) = task else {
-            unreachable!("distributed runner received a shared-memory task")
-        };
-        let (k, j, rank) = (k as usize, j as usize, rank as usize);
-        let prow = rank % self.geom.pr;
-        let res = match kind {
-            DistKind::Cand => self.run_cand(k, prow),
-            DistKind::TsluLeg => self.run_tslu_leg(k, j, prow),
-            DistKind::PanelGetf2 => self.run_panel_getf2(k),
-            DistKind::PivSend => self.run_piv_send(k, prow),
-            DistKind::Swap => self.run_swap(k, j),
-            DistKind::WSend => self.run_w_send(k),
-            DistKind::Second => self.run_second(k, prow),
-            DistKind::PanelSend => self.run_panel_send(k, prow),
-            DistKind::Trsm => self.run_trsm(k, j),
-            DistKind::USend => self.run_u_send(k, j),
-            DistKind::Gemm => self.run_gemm(k, j, prow),
-            // Pure arrival markers: the data sits in the producer's slot,
-            // the edge is the wire.
-            DistKind::PivRecv | DistKind::PanelRecv | DistKind::URecv => Ok(()),
-        };
-        if res.is_ok() {
-            self.account(kind, k, j, rank, prow);
-        }
-        res
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Drivers
-// ---------------------------------------------------------------------------
-
-/// Dispatches on the communicator seam: the shared-mailbox path below,
-/// the rank-thread driver in [`crate::dist_threaded`], or the MPI stub —
-/// which is exercised through the trait object exactly as a linked MPI
-/// backend would be, so its refusal surfaces as [`Error::Unsupported`]
-/// before any work begins.
+/// Sets up the ranks, runs them under the selected driver, and assembles
+/// the report and factors — one routine for both [`CommKind`]s.
 #[allow(clippy::too_many_arguments)]
 fn run_dist<T: Scalar>(
-    a: &Matrix<T>,
-    b: usize,
-    pr: usize,
-    pc: usize,
-    local: LocalLu,
-    alg: DistPanelAlg,
-    rt: DistRtOpts,
-    mch: &MachineConfig,
-) -> Result<(DistRtReport, DistFactors<T>)> {
-    match rt.communicator {
-        CommKind::InProcess => Ok(run_dist_in_process(a, b, pr, pc, local, alg, rt, mch)),
-        CommKind::Threaded => {
-            Ok(crate::dist_threaded::run_dist_threaded(a, b, pr, pc, local, alg, rt, mch))
-        }
-        CommKind::Mpi => {
-            let stub: Box<dyn Communicator> = Box::new(MpiComm::new());
-            stub.post(0, (PIV, 0, 0, 0), Vec::new(), &[])?;
-            unreachable!("the MPI stub refuses every post")
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_dist_in_process<T: Scalar>(
     a: &Matrix<T>,
     b: usize,
     pr: usize,
@@ -916,33 +290,57 @@ fn run_dist_in_process<T: Scalar>(
     let geom = DistGeom { shape, pr, pc };
     let dag = LuDag::build_dist_with(shape, (pr, pc), rt.lookahead, alg);
     let mut ipiv = vec![0usize; kn];
-    let runner = DistRunner {
-        geom,
-        glayout,
-        alg,
-        local,
-        lookahead: rt.lookahead,
-        cells: locals.iter_mut().map(RankCell::new).collect(),
-        ipiv: IpivCell { ptr: ipiv.as_mut_ptr(), len: kn },
-        comm: Box::new(InProcessComm::new()),
-        ledger: CommLedger::new(),
-    };
-    let communicator = runner.comm.name();
+    let ipiv_cell = IpivCell { ptr: ipiv.as_mut_ptr(), len: kn };
+    let comm = ThreadedComm::new(pr * pc);
+    let ledger = CommLedger::new();
     let recorder = Recorder::new();
-    let (exec, first_singular) = match rt.executor.execute_traced(&dag, &runner, Some(&recorder)) {
-        Ok(rep) => (rep, None),
-        Err(Error::SingularPivot { step }) => (ExecReport::default(), Some(step)),
-        Err(e) => panic!("unexpected distributed task failure: {e:?}"),
+    let workers: Vec<RankWorker<'_, T>> = locals
+        .iter_mut()
+        .enumerate()
+        .map(|(rank, mat)| RankWorker {
+            rank,
+            prow: rank % pr,
+            pcol: rank / pr,
+            geom,
+            glayout,
+            alg,
+            local,
+            lookahead: rt.lookahead,
+            cell: RankCell::new(mat),
+            comm: &comm,
+            ledger: &ledger,
+            ipiv: &ipiv_cell,
+        })
+        .collect();
+    let (exec, first_singular) = match rt.communicator {
+        CommKind::InProcess => {
+            let runner = |task: Task| RankWorker::run(&workers[participants(task, pr)], task);
+            match rt.executor.execute_traced(&dag, &runner, Some(&recorder)) {
+                Ok(rep) => (rep, None),
+                Err(Error::SingularPivot { step }) => (ExecReport::default(), Some(step)),
+                Err(e) => panic!("unexpected distributed task failure: {e:?}"),
+            }
+        }
+        CommKind::Threaded => run_rank_threads(&dag, &workers, &recorder),
     };
-    // Success or cancellation, undelivered payloads end with the run.
-    let drained = runner.drain_mailbox();
-    let residual = runner.mailbox_words();
-    runner.ledger.set_drain(drained as u64, residual as u64);
+    drop(workers);
+
+    // Success or cancellation, undelivered payloads end with the run: the
+    // last lookahead window's on success, those posted for canceled
+    // receivers otherwise.
+    let drained = comm.drain();
+    let residual = comm.residual_words();
+    ledger.set_drain(drained as u64, residual as u64);
     if first_singular.is_none() {
-        assert_eq!(residual, 0, "mailbox leaked {residual} words after the drain");
+        assert_eq!(residual, 0, "mailboxes leaked {residual} words after the drain");
     }
-    let comm = runner.ledger.report();
-    drop(runner);
+    // Per-(rank, term) blocked-fetch wait rows ride next to the word
+    // counts they explain.
+    for rank in 0..pr * pc {
+        for (term, nanos) in comm.wait_ns(rank) {
+            ledger.record_wait(rank as u32, term, nanos);
+        }
+    }
 
     let model = DistCostModel {
         geom,
@@ -951,19 +349,18 @@ fn run_dist_in_process<T: Scalar>(
         mch: mch.clone(),
     };
     let sched = simulate_dist_schedule(&dag, |t| model.cost(t), mch);
-    let critical_path = dag.critical_path(|t| model.cost(t).total(mch));
     let report = DistRtReport {
         sim: SimReport { per_rank: sched.per_rank },
         traces: sched.traces,
         exec,
-        critical_path,
+        critical_path: dag.critical_path(|t| model.cost(t).total(mch)),
         makespan: sched.makespan,
         tasks: dag.len(),
-        comm,
+        comm: ledger.report(),
         expected_mailbox: expected_mailbox_comm(&dag, &geom, alg),
         modeled_terms: modeled_comm_terms(&dag, &model),
         spans: recorder.take(),
-        communicator,
+        communicator: rt.communicator.label(),
     };
     let lu = assemble_2d(glayout, &locals);
     (report, DistFactors { lu, ipiv, first_singular })
@@ -971,40 +368,24 @@ fn run_dist_in_process<T: Scalar>(
 
 /// Runtime-driven 2D block-cyclic CALU: the per-rank step work of
 /// [`dist_calu_factor_spmd`](crate::dist::dist_calu_factor_spmd) emitted
-/// as a [`LuDag::build_dist`] task graph and driven through either
-/// executor at any lookahead depth. Factors and pivots are **bitwise
-/// identical** to the SPMD reference on every schedule (property-tested);
-/// the report carries the modeled per-rank communication schedule.
+/// as a [`LuDag::build_dist`] task graph and run under either driver at
+/// any lookahead depth. Factors and pivots are **bitwise identical** to
+/// the SPMD reference on every schedule (property-tested); the report
+/// carries the modeled per-rank communication schedule.
 pub fn dist_calu_factor_rt<T: Scalar>(
     a: &Matrix<T>,
     cfg: DistCaluConfig,
     rt: DistRtOpts,
     mch: MachineConfig,
 ) -> (DistRtReport, DistFactors<T>) {
-    try_dist_calu_factor_rt(a, cfg, rt, mch)
-        .expect("distributed CALU failed: the selected communicator is unavailable")
-}
-
-/// Fallible form of [`dist_calu_factor_rt`]: returns
-/// [`Error::Unsupported`] when the selected [`Communicator`] backend
-/// cannot run (the MPI stub) instead of panicking.
-///
-/// # Errors
-/// [`Error::Unsupported`] for [`CommKind::Mpi`].
-pub fn try_dist_calu_factor_rt<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistCaluConfig,
-    rt: DistRtOpts,
-    mch: MachineConfig,
-) -> Result<(DistRtReport, DistFactors<T>)> {
     run_dist(a, cfg.b, cfg.pr, cfg.pc, cfg.local, DistPanelAlg::Tslu, rt, &mch)
 }
 
 /// Runtime-driven ScaLAPACK-style `PDGETRF`: the `PDGETF2` panel runs as
-/// one serialized task per step (faithful to its column-coupled picket
-/// fence), while swaps and the trailing update get the full per-column
-/// task treatment — so even the baseline gains real lookahead. Factors
-/// stay bitwise identical to the sequential blocked
+/// one task per step over the panel's process column (faithful to its
+/// column-coupled picket fence), while swaps and the trailing update get
+/// the full per-column task treatment — so even the baseline gains real
+/// lookahead. Factors stay bitwise identical to the sequential blocked
 /// [`calu_matrix::lapack::getrf`].
 pub fn dist_pdgetrf_factor_rt<T: Scalar>(
     a: &Matrix<T>,
@@ -1012,35 +393,36 @@ pub fn dist_pdgetrf_factor_rt<T: Scalar>(
     rt: DistRtOpts,
     mch: MachineConfig,
 ) -> (DistRtReport, DistFactors<T>) {
-    try_dist_pdgetrf_factor_rt(a, cfg, rt, mch)
-        .expect("distributed PDGETRF failed: the selected communicator is unavailable")
-}
-
-/// Fallible form of [`dist_pdgetrf_factor_rt`]: returns
-/// [`Error::Unsupported`] when the selected [`Communicator`] backend
-/// cannot run (the MPI stub) instead of panicking.
-///
-/// # Errors
-/// [`Error::Unsupported`] for [`CommKind::Mpi`].
-pub fn try_dist_pdgetrf_factor_rt<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistPdgetrfConfig,
-    rt: DistRtOpts,
-    mch: MachineConfig,
-) -> Result<(DistRtReport, DistFactors<T>)> {
     run_dist(a, cfg.b, cfg.pr, cfg.pc, LocalLu::Classic, DistPanelAlg::Getf2, rt, &mch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{dist_calu_factor_spmd, dist_pdgetrf_factor_spmd};
+    use crate::dist::dist_calu_factor_spmd;
     use calu_matrix::gen;
+    use calu_matrix::lapack::{getrf, GetrfOpts};
+    use calu_matrix::NoObs;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn executors() -> [ExecutorKind; 2] {
-        [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }]
+    /// Every way to run the ranks: the executor driver under both
+    /// executors, and the rank threads.
+    fn drivers(lookahead: usize) -> [DistRtOpts; 3] {
+        let opts = |executor, communicator| DistRtOpts { lookahead, executor, communicator };
+        [
+            opts(ExecutorKind::Serial, CommKind::InProcess),
+            opts(ExecutorKind::Threaded { threads: 3 }, CommKind::InProcess),
+            opts(ExecutorKind::Serial, CommKind::Threaded),
+        ]
+    }
+
+    fn getrf_reference<T: Scalar>(a: &Matrix<T>, b: usize) -> (Matrix<T>, Vec<usize>) {
+        let mut lu = a.clone();
+        let mut ipiv = vec![0usize; a.rows().min(a.cols())];
+        getrf(lu.view_mut(), &mut ipiv, GetrfOpts { block: b, ..Default::default() }, &mut NoObs)
+            .unwrap();
+        (lu, ipiv)
     }
 
     #[test]
@@ -1052,15 +434,15 @@ mod tests {
                 let cfg = DistCaluConfig { b, pr, pc, local: LocalLu::Recursive };
                 let (_r, want) = dist_calu_factor_spmd(&a, cfg, MachineConfig::ideal());
                 for depth in 1..=3 {
-                    for executor in executors() {
-                        let rt = DistRtOpts { lookahead: depth, executor, ..Default::default() };
-                        let (_rep, got) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                        assert_eq!(want.ipiv, got.ipiv, "{m}x{n} {pr}x{pc} d={depth}");
+                    for rt in drivers(depth) {
+                        let (rep, got) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
+                        assert_eq!(rep.communicator, rt.communicator.label());
+                        assert_eq!(want.ipiv, got.ipiv, "{m}x{n} {pr}x{pc} {rt:?}");
                         assert_eq!(
                             want.lu.max_abs_diff(&got.lu),
                             0.0,
-                            "{m}x{n} {pr}x{pc} d={depth} {executor:?}: factors must be bitwise \
-                             identical to the SPMD reference"
+                            "{m}x{n} {pr}x{pc} {rt:?}: factors must be bitwise identical to \
+                             the SPMD reference"
                         );
                         assert_eq!(got.first_singular, None);
                     }
@@ -1069,22 +451,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dag_pdgetrf_matches_spmd_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7002);
-        let a: Matrix = gen::randn(&mut rng, 44, 44);
+    fn assert_pdgetrf_matches_getrf<T: Scalar>(a: &Matrix<T>) {
+        let (lu, ipiv) = getrf_reference(a, 8);
         for &(pr, pc) in &[(1usize, 1usize), (2, 2), (3, 2), (2, 4)] {
             let cfg = DistPdgetrfConfig { b: 8, pr, pc };
-            let (_r, want) = dist_pdgetrf_factor_spmd(&a, cfg, MachineConfig::ideal());
-            for depth in 1..=2 {
-                for executor in executors() {
-                    let rt = DistRtOpts { lookahead: depth, executor, ..Default::default() };
-                    let (_rep, got) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                    assert_eq!(want.ipiv, got.ipiv, "{pr}x{pc} d={depth}");
-                    assert_eq!(want.lu.max_abs_diff(&got.lu), 0.0, "{pr}x{pc} d={depth}");
+            for depth in 1..=3 {
+                for rt in drivers(depth) {
+                    let (_rep, got) = dist_pdgetrf_factor_rt(a, cfg, rt, MachineConfig::ideal());
+                    assert_eq!(ipiv, got.ipiv, "{pr}x{pc} {rt:?}");
+                    assert_eq!(lu.max_abs_diff(&got.lu), T::ZERO, "{pr}x{pc} {rt:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn dag_pdgetrf_matches_getrf_bitwise() {
+        let mut rng = StdRng::seed_from_u64(7002);
+        let a: Matrix = gen::randn(&mut rng, 44, 44);
+        assert_pdgetrf_matches_getrf(&a);
+        assert_pdgetrf_matches_getrf(&a.cast::<f32>());
     }
 
     #[test]
@@ -1105,6 +491,8 @@ mod tests {
         // end of a successful run; the driver drains them all.
         assert!(rep.comm.drained_words > 0);
         assert_eq!(rep.comm.residual_words, 0);
+        // The DAG orders every post before its fetches: nothing waits.
+        assert_eq!(rep.comm.wait_total_ns(), 0);
         // One wall-clock span per executed task, pids spanning the grid.
         assert_eq!(rep.spans.len(), rep.tasks);
         assert!(rep.spans.iter().any(|s| s.pid == 3));
@@ -1114,165 +502,81 @@ mod tests {
         assert!(gantt.contains("r0") && gantt.contains("r3"));
     }
 
-    /// The tentpole reconciliation property: on every grid × depth ×
-    /// algorithm × executor, the measured mailbox ledger equals the exact
-    /// per-term prediction — message counts and word counts both — and
-    /// the skeleton comparison shows agreeing message counts with a
-    /// quantified (never negative) word gap on the TSLU term.
+    /// The reconciliation property: on every grid × depth × algorithm ×
+    /// driver, the measured ledger equals the exact per-term prediction —
+    /// message counts and word counts both, the `PDGETF2` picket fence
+    /// included — and the skeleton comparison shows agreeing message
+    /// counts with a quantified (never negative) word gap on the TSLU
+    /// term.
     #[test]
     fn measured_comm_equals_exact_prediction_on_grids_and_depths() {
         let mut rng = StdRng::seed_from_u64(7004);
         let a: Matrix = gen::randn(&mut rng, 48, 48);
+        let assert_exact = |rep: &DistRtReport, what: &str| {
+            let deltas = rep.mailbox_deltas();
+            assert!(deltas.iter().any(|d| d.source == "mailbox_exact"));
+            for d in deltas.iter().filter(|d| d.source == "mailbox_exact") {
+                assert!(
+                    d.exact(),
+                    "{what} term {}: measured {:?} vs expected {:?}",
+                    d.term,
+                    d.measured,
+                    d.expected
+                );
+            }
+        };
         for &(pr, pc) in &[(2usize, 2usize), (2, 4), (3, 2)] {
             for depth in 1..=3 {
-                for executor in executors() {
-                    let rt = DistRtOpts { lookahead: depth, executor, ..Default::default() };
+                for rt in drivers(depth) {
                     let cfg = DistCaluConfig { b: 8, pr, pc, local: LocalLu::Classic };
                     let (rep, f) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
                     assert_eq!(f.first_singular, None);
-                    let deltas = rep.mailbox_deltas();
-                    assert!(deltas.iter().any(|d| d.source == "mailbox_exact"));
-                    for d in &deltas {
-                        if d.source == "mailbox_exact" {
-                            assert!(
-                                d.exact(),
-                                "{pr}x{pc} d={depth} {executor:?} term {}: measured {:?} vs \
-                                 expected {:?}",
-                                d.term,
-                                d.measured,
-                                d.expected
-                            );
-                        }
-                    }
+                    assert_exact(&rep, &format!("calu {pr}x{pc} {rt:?}"));
                     // Skeleton: same message counts on the exact-modeled
                     // terms, word gap only from ragged-tail payloads.
-                    for d in rep.skeleton_deltas() {
-                        if d.term == "tslu_leg" {
-                            assert_eq!(d.msg_gap(), 0, "{pr}x{pc} d={depth}");
-                            assert!(d.word_gap() <= 0, "measured can never exceed the skeleton");
-                        }
+                    for d in rep.skeleton_deltas().iter().filter(|d| d.term == "tslu_leg") {
+                        assert_eq!(d.msg_gap(), 0, "{pr}x{pc} {rt:?}");
+                        assert!(d.word_gap() <= 0, "measured can never exceed the skeleton");
                     }
 
                     let cfg = DistPdgetrfConfig { b: 8, pr, pc };
                     let (rep, f) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
                     assert_eq!(f.first_singular, None);
-                    for d in rep.mailbox_deltas() {
-                        if d.source == "mailbox_exact" {
-                            assert!(
-                                d.exact(),
-                                "pdgetrf {pr}x{pc} d={depth} term {}: {:?} vs {:?}",
-                                d.term,
-                                d.measured,
-                                d.expected
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The tentpole's headline property: with ranks as real OS threads
-    /// exchanging point-to-point messages — no shared matrix state at
-    /// all — both algorithms still produce bitwise-identical factors to
-    /// the SPMD references, on every grid × depth.
-    #[test]
-    fn threaded_communicator_matches_spmd_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7005);
-        for &(m, n, b) in &[(48usize, 48usize, 8usize), (52, 36, 8)] {
-            let a: Matrix = gen::randn(&mut rng, m, n);
-            for &(pr, pc) in &[(1usize, 1usize), (2, 2), (2, 3), (3, 2)] {
-                let calu_cfg = DistCaluConfig { b, pr, pc, local: LocalLu::Recursive };
-                let (_r, want) = dist_calu_factor_spmd(&a, calu_cfg, MachineConfig::ideal());
-                for depth in 1..=3 {
-                    let rt = DistRtOpts {
-                        lookahead: depth,
-                        communicator: CommKind::Threaded,
-                        ..Default::default()
-                    };
-                    let (rep, got) = dist_calu_factor_rt(&a, calu_cfg, rt, MachineConfig::ideal());
-                    assert_eq!(rep.communicator, "threaded");
-                    assert_eq!(want.ipiv, got.ipiv, "calu {m}x{n} {pr}x{pc} d={depth}");
-                    assert_eq!(
-                        want.lu.max_abs_diff(&got.lu),
-                        0.0,
-                        "calu {m}x{n} {pr}x{pc} d={depth}: threaded ranks must reproduce the \
-                         SPMD factors bitwise"
+                    assert!(
+                        rep.expected_mailbox.iter().any(|t| t.term == "panel_getf2"),
+                        "the PDGETF2 picket fence must be predicted term-for-term"
                     );
-                    assert_eq!(got.first_singular, None);
-
-                    if m == n {
-                        let pd_cfg = DistPdgetrfConfig { b, pr, pc };
-                        let (_r, want) =
-                            dist_pdgetrf_factor_spmd(&a, pd_cfg, MachineConfig::ideal());
-                        let (rep, got) =
-                            dist_pdgetrf_factor_rt(&a, pd_cfg, rt, MachineConfig::ideal());
-                        assert_eq!(rep.communicator, "threaded");
-                        assert_eq!(want.ipiv, got.ipiv, "pdgetrf {pr}x{pc} d={depth}");
-                        assert_eq!(
-                            want.lu.max_abs_diff(&got.lu),
-                            0.0,
-                            "pdgetrf {pr}x{pc} d={depth}: threaded ranks must reproduce the \
-                             SPMD factors bitwise"
-                        );
-                    }
+                    assert_exact(&rep, &format!("pdgetrf {pr}x{pc} {rt:?}"));
                 }
             }
         }
     }
 
-    /// Comm accounting stays exact when the messages are physically real:
-    /// under the threaded communicator every `mailbox_exact` term —
-    /// including the new `panel_getf2` term for `PDGETF2`'s decomposed
-    /// picket fence, which only exists on the wire once ranks stop
-    /// sharing panel storage — reconciles measured == expected.
+    /// Both drivers run the same bodies, so they send the same messages:
+    /// for every grid × depth × panel algorithm the two ledgers agree row
+    /// for row — rank, term, direction, messages and words — including
+    /// the data-dependent `swap` term and `PDGETRF`'s `panel_getf2`.
     #[test]
-    fn threaded_measured_comm_equals_exact_prediction() {
-        let mut rng = StdRng::seed_from_u64(7006);
-        let a: Matrix = gen::randn(&mut rng, 48, 48);
-        for &(pr, pc) in &[(2usize, 2usize), (2, 4), (3, 2)] {
+    fn in_process_and_threaded_ledgers_match_term_for_term() {
+        let mut rng = StdRng::seed_from_u64(7009);
+        let a: Matrix = gen::randn(&mut rng, 44, 44);
+        for &(pr, pc) in &[(1usize, 2usize), (2, 2), (2, 4), (3, 2)] {
             for depth in 1..=3 {
-                let rt = DistRtOpts {
-                    lookahead: depth,
-                    communicator: CommKind::Threaded,
-                    ..Default::default()
+                let [in_process, _, threaded] = drivers(depth);
+                let calu = |rt| {
+                    let cfg = DistCaluConfig { b: 8, pr, pc, local: LocalLu::Classic };
+                    dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal()).0.comm
                 };
-                let cfg = DistCaluConfig { b: 8, pr, pc, local: LocalLu::Classic };
-                let (rep, f) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                assert_eq!(f.first_singular, None);
-                let deltas = rep.mailbox_deltas();
-                assert!(deltas.iter().any(|d| d.source == "mailbox_exact"));
-                for d in &deltas {
-                    if d.source == "mailbox_exact" {
-                        assert!(
-                            d.exact(),
-                            "threaded calu {pr}x{pc} d={depth} term {}: measured {:?} vs \
-                             expected {:?}",
-                            d.term,
-                            d.measured,
-                            d.expected
-                        );
-                    }
-                }
-
-                let cfg = DistPdgetrfConfig { b: 8, pr, pc };
-                let (rep, f) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                assert_eq!(f.first_singular, None);
-                let deltas = rep.mailbox_deltas();
-                assert!(
-                    deltas.iter().any(|d| d.term == "panel_getf2" && d.source == "mailbox_exact"),
-                    "the decomposed PDGETF2 panel must be accounted term-for-term"
-                );
-                for d in &deltas {
-                    if d.source == "mailbox_exact" {
-                        assert!(
-                            d.exact(),
-                            "threaded pdgetrf {pr}x{pc} d={depth} term {}: measured {:?} vs \
-                             expected {:?}",
-                            d.term,
-                            d.measured,
-                            d.expected
-                        );
+                let pdgetrf = |rt| {
+                    let cfg = DistPdgetrfConfig { b: 8, pr, pc };
+                    dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal()).0.comm
+                };
+                for (alg, run) in [("calu", &calu as &dyn Fn(_) -> _), ("pdgetrf", &pdgetrf)] {
+                    let (want, got) = (run(in_process), run(threaded));
+                    assert!(!want.rows.is_empty());
+                    assert_eq!(want.rows, got.rows, "{alg} {pr}x{pc} d={depth}");
+                    if alg == "pdgetrf" && pr > 1 {
+                        assert!(want.term_total("panel_getf2").msgs > 0);
                     }
                 }
             }
@@ -1280,10 +584,10 @@ mod tests {
     }
 
     /// The threaded report is coherent: spans and wall-clock timings come
-    /// from every rank thread (collectives appear once per participant,
-    /// so there are at least as many executions as DAG tasks), the spans
-    /// export as a valid per-rank chrome trace, and the drain leaves no
-    /// residual words.
+    /// from every rank thread (multi-rank tasks appear once per
+    /// participant, so there are at least as many executions as DAG
+    /// tasks), the spans export as a valid per-rank chrome trace, and the
+    /// drain leaves no residual words.
     #[test]
     fn threaded_report_is_coherent() {
         let mut rng = StdRng::seed_from_u64(7007);
@@ -1330,18 +634,5 @@ mod tests {
         // wait rows attribute that blocking per (rank, term).
         assert!(!rep.comm.waits.is_empty(), "threaded fetches must record wait rows");
         assert!(rep.comm.wait_total_ns() > 0);
-    }
-
-    /// The MPI-shaped stub refuses to run, as a typed error — the public
-    /// fallible API surfaces it instead of panicking.
-    #[test]
-    fn mpi_stub_reports_unsupported() {
-        let mut rng = StdRng::seed_from_u64(7008);
-        let a: Matrix = gen::randn(&mut rng, 16, 16);
-        let cfg = DistCaluConfig { b: 8, pr: 2, pc: 2, local: LocalLu::Classic };
-        let rt = DistRtOpts { communicator: CommKind::Mpi, ..Default::default() };
-        let err = try_dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal())
-            .expect_err("the MPI stub must refuse to run");
-        assert!(matches!(err, Error::Unsupported { .. }), "got {err:?}");
     }
 }

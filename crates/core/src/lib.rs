@@ -49,11 +49,8 @@ pub mod tslu;
 
 pub use calu::{calu_factor, calu_inplace, CaluOpts, LuFactors};
 pub use calu_runtime::PanelMode;
-pub use comm::{CommKind, Communicator, InProcessComm, MpiComm, ThreadedComm};
-pub use dist_rt::{
-    dist_calu_factor_rt, dist_pdgetrf_factor_rt, try_dist_calu_factor_rt,
-    try_dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport,
-};
+pub use comm::{CommKind, ThreadedComm};
+pub use dist_rt::{dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport};
 pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
 pub use par::{par_calu_factor, par_calu_inplace};

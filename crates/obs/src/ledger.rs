@@ -78,9 +78,9 @@ pub struct CommTerm {
 }
 
 /// One blocked-wait row: nanoseconds `rank` spent blocked in a
-/// `Communicator::fetch` waiting on payloads of `term`. Only backends
-/// where waiting is physically real (the threaded communicator) record
-/// these; synchronous mailboxes leave the table empty.
+/// communicator fetch waiting on payloads of `term`. Only fetches whose
+/// payload had not arrived yet record these (rank threads); a run whose
+/// DAG orders every post before its fetches leaves the table empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitRow {
     /// Grid rank that blocked.
@@ -217,8 +217,8 @@ impl CommLedger {
 pub struct CommLedgerReport {
     /// Measured cells, sorted by (rank, term, direction).
     pub rows: Vec<CommRow>,
-    /// Blocked-fetch wait rows, sorted by (rank, term); empty under
-    /// synchronous backends.
+    /// Blocked-fetch wait rows, sorted by (rank, term); empty when no
+    /// fetch had to wait.
     pub waits: Vec<WaitRow>,
     /// Mailbox words evicted by lookahead-window retirement during the run.
     pub drained_words: u64,

@@ -214,7 +214,7 @@ pub enum DistKind {
     /// The whole `PDGETF2` panel of the `PDGETRF` baseline: per column a
     /// scan, a column-combine, a pivot-row exchange, and a rank-1 update —
     /// a serialized picket fence modeled as one task on the diagonal rank
-    /// (its body touches every rank of the process column, which the
+    /// (every rank of the process column takes part, which the
     /// column-barrier edges order).
     PanelGetf2,
     /// Send half of the swap-list broadcast along the owning process row.
@@ -223,7 +223,8 @@ pub enum DistKind {
     PivRecv,
     /// Pivot-row exchange: apply panel `k`'s row swaps to block column `j`
     /// across the owning process column (the sequential pairwise
-    /// exchanges of the swap sweep, one task per column block).
+    /// exchanges of the swap sweep, one task per column block; every rank
+    /// of the process column takes part and reads its own swap list).
     Swap,
     /// Send half of the post-swap `W` block broadcast down the process
     /// column (CALU second pass).

@@ -16,8 +16,9 @@
 //!
 //! Three consumers:
 //!
-//! * the real-data runner in `calu-core::dist_rt` drives each rank's
-//!   owned `TileMatrix` tiles through this DAG under either executor;
+//! * the task bodies in `calu-core::dist_threaded` run each rank's owned
+//!   `TileMatrix` tiles through this DAG, under either executor or as one
+//!   OS thread per rank;
 //! * [`DistCostModel`] prices every task from a [`MachineConfig`]'s
 //!   α-β-γ terms (compute for kernel tasks, `α + w·β` per message leg for
 //!   comm tasks), giving [`LuDag::critical_path`] a distributed cost;
@@ -474,11 +475,11 @@ impl LuDag {
                     dep(dtask(DistKind::PivSend, k, 0, g.rank(prow, cpcol)), &mut edges);
                 }
                 DistKind::Swap => {
-                    // The swap list on this task's process column.
-                    if pcol == cpcol {
-                        dep(dtask(DistKind::PivSend, k, 0, g.rank(cprow, cpcol)), &mut edges);
-                    } else {
-                        dep(dtask(DistKind::PivRecv, k, 0, g.rank(cprow, pcol)), &mut edges);
+                    // Every process row of the column runs the swap and
+                    // reads its own copy of the swap list.
+                    let list = if pcol == cpcol { DistKind::PivSend } else { DistKind::PivRecv };
+                    for pw in 0..pr {
+                        dep(dtask(list, k, 0, g.rank(pw, pcol)), &mut edges);
                     }
                     if k == 0 {
                         continue;
@@ -930,7 +931,7 @@ pub fn simulate_dist_schedule(
 /// The canonical communication-ledger term a distributed task kind is
 /// accounted under (`None` for pure-compute kinds). Shared by the modeled
 /// side ([`modeled_comm_terms`]), the exact mailbox predictor
-/// ([`expected_mailbox_comm`]), and `calu-core`'s measured `dist_rt`
+/// ([`expected_mailbox_comm`]), and `calu-core`'s measured task-body
 /// instrumentation, so the three views of a transfer land in the same row
 /// of a reconciliation table.
 pub fn dist_comm_term(kind: DistKind) -> Option<&'static str> {
@@ -975,20 +976,27 @@ pub fn modeled_comm_terms(dag: &LuDag, model: &DistCostModel) -> Vec<CommTerm> {
 }
 
 /// The *exact* expected mailbox traffic of a distributed DAG: per ledger
-/// term, the message/word totals the real-data runner's mailbox must
-/// produce. Unlike the skeleton ([`modeled_comm_terms`]), TSLU leg
-/// payloads are predicted by simulating candidate counts through the
-/// butterfly — a rank owning `r` panel rows elects `min(r, b)` candidates
-/// (payload `2 + c + c·b` words), and a combine keeps `min(c₁ + c₂, b)` —
-/// so the prediction is exact even on ragged and late steps where the
-/// closed form over-counts. Broadcast terms (pivot list, packed panel,
-/// `W`, `U₁₂`) are geometry-determined and counted once per receiver.
+/// term, the message/word totals the task bodies must send. Unlike the
+/// skeleton ([`modeled_comm_terms`]), TSLU leg payloads are predicted by
+/// simulating candidate counts through the butterfly — a rank owning `r`
+/// panel rows elects `min(r, b)` candidates (payload `2 + c + c·b`
+/// words), and a combine keeps `min(c₁ + c₂, b)` — so the prediction is
+/// exact even on ragged and late steps where the closed form over-counts.
+/// Broadcast terms (pivot list, packed panel, `W`, `U₁₂`) are
+/// geometry-determined and counted once per receiver.
 ///
-/// `dist_rt`'s measured ledger equals this prediction term-for-term on
+/// The `PDGETF2` panel's picket fence is geometry-determined too: with
+/// `pr > 1` process rows and panel width `b_k`, every panel column `jj`
+/// costs a 3-word candidate all-gather (`pr·(pr − 1)` messages) plus the
+/// elected pivot's trailing row (`b_k − 1 − jj` words) fetched by the
+/// `pr − 1` non-owners — absent on the last column of a panel — all under
+/// the `panel_getf2` term.
+///
+/// `calu-core`'s measured ledger equals this prediction term-for-term on
 /// every successful run — the property the reconciliation tests assert.
-/// The `swap` term (data-dependent pivot-row exchanges) and `PDGETF2`'s
-/// internal panel traffic are deliberately absent: they never cross the
-/// mailbox, so the skeleton is their only expectation.
+/// The `swap` term (data-dependent pivot-row exchanges, in the trailing
+/// swaps and the `PDGETF2` panel alike) is deliberately absent: the
+/// skeleton is its only expectation.
 pub fn expected_mailbox_comm(dag: &LuDag, geom: &DistGeom, alg: DistPanelAlg) -> Vec<CommTerm> {
     let pr = geom.pr;
     let legs = tslu_leg_count(pr);
@@ -1020,9 +1028,9 @@ pub fn expected_mailbox_comm(dag: &LuDag, geom: &DistGeom, alg: DistPanelAlg) ->
     }
 
     let mut totals: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-    let mut add = |term: &'static str, words: usize| {
+    let mut add = |term: &'static str, msgs: usize, words: usize| {
         let e = totals.entry(term).or_insert((0, 0));
-        e.0 += 1;
+        e.0 += msgs as u64;
         e.1 += words as u64;
     };
     for &t in dag.tasks() {
@@ -1040,67 +1048,25 @@ pub fn expected_mailbox_comm(dag: &LuDag, geom: &DistGeom, alg: DistPanelAlg) ->
                 );
                 if sends {
                     let c = pre[k][j][prow];
-                    add("tslu_leg", 2 + c + c * jb);
+                    add("tslu_leg", 1, 2 + c + c * jb);
                 }
             }
-            DistKind::PivRecv => add("piv_bcast", jb),
-            DistKind::PanelRecv => add("panel_bcast", geom.panel_rows(prow, k) * jb),
-            DistKind::URecv => add("u_bcast", jb * geom.upd_width(k, j)),
-            DistKind::Second if prow != geom.cprow(k) => add("w_bcast", jb * jb),
+            DistKind::PanelGetf2 if pr > 1 => {
+                for jj in 0..jb {
+                    add("panel_getf2", pr * (pr - 1), 3 * pr * (pr - 1));
+                    if jj + 1 < jb {
+                        add("panel_getf2", pr - 1, (jb - 1 - jj) * (pr - 1));
+                    }
+                }
+            }
+            DistKind::PivRecv => add("piv_bcast", 1, jb),
+            DistKind::PanelRecv => add("panel_bcast", 1, geom.panel_rows(prow, k) * jb),
+            DistKind::URecv => add("u_bcast", 1, jb * geom.upd_width(k, j)),
+            DistKind::Second if prow != geom.cprow(k) => add("w_bcast", 1, jb * jb),
             _ => {}
         }
     }
     sum_terms(totals, "mailbox_exact")
-}
-
-/// The *exact* extra traffic the **threaded** communicator's decomposed
-/// `PDGETF2` panel puts on the wire — traffic that simply does not exist
-/// under the in-process mailbox, where all process rows of the panel
-/// column share one storage and the picket fence reads it directly.
-///
-/// Once each rank owns its tiles on a separate thread, every panel
-/// column `jj` of every step costs, with `pr` process rows and panel
-/// width `b_k`:
-///
-/// * a 3-word candidate all-gather — each of the `pr` participants
-///   fetches the other `pr − 1` candidates: `pr·(pr − 1)` messages of 3
-///   words each, and
-/// * the elected pivot's trailing row (`b_k − 1 − jj` words) fetched by
-///   the `pr − 1` non-owners — absent on the last column of a panel.
-///
-/// The pivot-row *exchange* is deliberately not here: like the
-/// trailing-matrix swaps it is data-dependent (only fired when the
-/// winner leaves the diagonal row), so it lands in the unmodeled `swap`
-/// term on both communicators.
-///
-/// Returns the single `panel_getf2` [`CommTerm`] (empty when `pr == 1`
-/// or the panel algorithm is TSLU, whose butterfly is already counted by
-/// [`expected_mailbox_comm`]). The threaded driver appends this to the
-/// mailbox expectation, and the reconciliation tests hold the measured
-/// ledger to the combined prediction term-for-term.
-pub fn expected_threaded_getf2_comm(
-    dag: &LuDag,
-    geom: &DistGeom,
-    alg: DistPanelAlg,
-) -> Vec<CommTerm> {
-    let pr = geom.pr as u64;
-    if alg != DistPanelAlg::Getf2 || pr <= 1 {
-        return Vec::new();
-    }
-    let (mut msgs, mut words) = (0u64, 0u64);
-    for &t in dag.tasks() {
-        let Task::Dist(DistTask { kind: DistKind::PanelGetf2, k, .. }) = t else { continue };
-        let jb = geom.jb(k as usize) as u64;
-        for jj in 0..jb {
-            msgs += pr * (pr - 1);
-            words += 3 * pr * (pr - 1);
-            if jj + 1 < jb {
-                msgs += pr - 1;
-                words += (jb - 1 - jj) * (pr - 1);
-            }
-        }
-    }
-    vec![CommTerm { term: "panel_getf2", msgs, words, source: "mailbox_exact" }]
 }
 
 #[cfg(test)]
@@ -1279,6 +1245,33 @@ mod tests {
         }
         assert!(s1.per_rank.iter().map(|s| s.flops).sum::<f64>() > 0.0);
         assert!(s1.per_rank.iter().map(|s| s.msgs_sent).sum::<u64>() > 0);
+    }
+
+    /// Every process row of the column runs `Swap(k, j)` over its own copy
+    /// of the swap list, so the swap must follow each of those copies'
+    /// arrival: every process row's `PivSend` on the panel's process
+    /// column, its `PivRecv` elsewhere.
+    #[test]
+    fn swaps_follow_every_participants_swap_list() {
+        let shape = LuShape { m: 40, n: 40, nb: 8 };
+        let (pr, pc) = (3, 2);
+        let g = DistGeom { shape, pr, pc };
+        for alg in [DistPanelAlg::Tslu, DistPanelAlg::Getf2] {
+            let dag = LuDag::build_dist_with(shape, (pr, pc), 2, alg);
+            let id_of: HashMap<Task, TaskId> =
+                dag.tasks().iter().enumerate().map(|(id, &t)| (t, id)).collect();
+            for (id, &t) in dag.tasks().iter().enumerate() {
+                let Task::Dist(DistTask { kind: DistKind::Swap, k, rank, .. }) = t else {
+                    continue;
+                };
+                let (k, pcol) = (k as usize, rank as usize / pr);
+                let list = if pcol == g.pcol_of(k) { DistKind::PivSend } else { DistKind::PivRecv };
+                for pw in 0..pr {
+                    let src = id_of[&dtask(list, k, 0, g.rank(pw, pcol))];
+                    assert!(dag.successors(src).contains(&id), "{alg:?}: {t} after row {pw}");
+                }
+            }
+        }
     }
 
     #[test]

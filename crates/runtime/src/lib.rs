@@ -39,9 +39,9 @@ pub use dag::{
     TaskId, TileLocality,
 };
 pub use dist::{
-    dist_comm_term, expected_mailbox_comm, expected_threaded_getf2_comm, modeled_comm_terms,
-    simulate_dist_schedule, tslu_acc_slot, tslu_leg_count, tslu_leg_role, DistCostModel, DistGeom,
-    DistPanelAlg, DistSchedule, DistTaskCost, LegRole,
+    dist_comm_term, expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule,
+    tslu_acc_slot, tslu_leg_count, tslu_leg_role, DistCostModel, DistGeom, DistPanelAlg,
+    DistSchedule, DistTaskCost, LegRole,
 };
 pub use exec::{
     ExecReport, Executor, ExecutorKind, SerialExecutor, TaskRunner, TaskTiming, ThreadedExecutor,

@@ -260,8 +260,8 @@ proptest! {
     ) {
         // The DAG-driven distributed CALU must reproduce the pre-refactor
         // SPMD loop's factors BITWISE — per grid, lookahead depth,
-        // executor, COMMUNICATOR (shared in-process mailbox vs. real
-        // rank threads over point-to-point messages), precision, and
+        // executor, COMMUNICATOR (one executor-driven DAG vs. real rank
+        // threads, both over point-to-point messages), precision, and
         // ragged shape. Equality of both communicators to one SPMD
         // reference is equality of the communicators to each other.
         use calu_repro::core::dist::{dist_calu_factor_spmd, DistCaluConfig};
