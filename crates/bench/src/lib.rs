@@ -22,6 +22,7 @@
 //! | `fig_scaling` | strong/weak scaling curves, incl. a modern cluster |
 //! | `section5_comparison` | Section 5's term-by-term cost comparison |
 //! | `runtime_calu` | Section 7 multicore: serial vs threaded task-graph runtime, `BENCH_runtime.json` perf record |
+//! | `kernel_calu` | kernel layer: `gemm`/`trsm`/`getf2`/`rgetf2` GFLOP/s per ISA variant vs the micro-kernel ceiling, `BENCH_kernels.json` |
 //!
 //! Numerics binaries accept `--full` (paper-scale sizes; slow) and default
 //! to a reduced sweep; all accept `--csv`.
@@ -166,9 +167,12 @@ impl HostInfo {
         }
     }
 
-    /// Stamps the host fields onto a `BENCH_*.json` record object.
+    /// Stamps the host fields onto a `BENCH_*.json` record object,
+    /// together with the kernel variant `gemm`/`trsm` ran on
+    /// ([`calu_matrix::blas3::kernel_variant`]).
     pub fn stamp(&self, record: JsonValue) -> JsonValue {
         record
+            .set("kernel", calu_matrix::blas3::kernel_variant())
             .set("host_threads", self.host_threads)
             .set("executor_threads", self.exec_threads)
             .set("measured_speedup_valid", self.measured_speedup_valid)
@@ -246,6 +250,8 @@ mod tests {
         assert_eq!(rec.get("host_threads").and_then(JsonValue::as_u64), Some(4));
         assert_eq!(rec.get("executor_threads").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(rec.get("measured_speedup_valid").and_then(JsonValue::as_bool), Some(true));
+        let kernel = rec.get("kernel").and_then(JsonValue::as_str).expect("kernel stamped");
+        assert!(["avx512f", "avx2", "portable"].contains(&kernel), "{kernel}");
 
         let m = Metrics::new();
         host.record(&m);

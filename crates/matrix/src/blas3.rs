@@ -1,23 +1,65 @@
-//! Level-3 kernels: cache-blocked `gemm` (serial and rayon-parallel) and the
-//! four no-transpose `trsm` cases LU factorization needs.
+//! Level-3 kernels: cache-blocked, packed `gemm` (serial and
+//! rayon-parallel) and the four no-transpose `trsm` cases LU factorization
+//! needs.
 //!
-//! The `gemm` here follows the usual three-level blocking (NC/KC/MC) with a
-//! rank-4-update inner kernel over contiguous columns, which the LLVM
-//! auto-vectorizer handles well. It is not a tuned micro-kernel BLAS — the
-//! paper's absolute GFLOP/s are reproduced under a machine model, not on the
-//! host — but it keeps the laptop-scale stability experiments fast.
+//! `gemm` and the left lower `trsm` run on one packed, register-blocked
+//! micro-kernel per instruction set: AVX-512F, AVX2, or portable Rust,
+//! chosen once at run time from what the host supports
+//! ([`kernel_variant`] names it). Operands are cut into cache blocks (NC
+//! columns, KC k-steps, MC rows), `A` is packed into `MR`-row panels and
+//! `alpha·B` into `NR`-column panels, and each `MR × NR` tile of `C` stays
+//! in registers for its whole k-loop.
+//!
+//! # Order contract
+//!
+//! No variant changes any element's arithmetic. [`gemm_spec`] spells out
+//! the operation sequence of every element of `C` (the grouped order);
+//! the left lower `trsm` applies its updates in ascending k, one at a
+//! time (the rank-1 order), exactly as forward substitution column by
+//! column would. Multiplies and adds stay separate (no FMA). So every
+//! variant gives the same bits as every other, on every host, and every
+//! bitwise contract built on these kernels (runtime vs sequential, tile vs
+//! flat layout, distributed vs sequential, batched vs single solves)
+//! holds whatever ISA the host has. The other three `trsm` cases are the
+//! plain substitution loops.
 
 use crate::blas1::axpy;
+use crate::kernel::{self, Variant, NC};
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
 use crate::{Diag, Side, Uplo};
 
-/// Column-block width processed per parallel task / outer loop step.
-const NC: usize = 128;
-/// K-block depth kept in cache between C updates.
-const KC: usize = 256;
-/// Row-block height of the packed A panel equivalent.
-const MC: usize = 256;
+/// Name of the kernel variant this host runs: `"avx512f"`, `"avx2"` or
+/// `"portable"`. Every `gemm` and left lower `trsm` call uses it.
+pub fn kernel_variant() -> &'static str {
+    Variant::detect().name()
+}
+
+/// Names of every kernel variant this host can run, best first (the
+/// first is [`kernel_variant`]; `"portable"` is always last).
+pub fn kernel_variants() -> Vec<&'static str> {
+    Variant::ALL.into_iter().filter(|v| v.supported()).map(Variant::name).collect()
+}
+
+/// The variant called `name`.
+///
+/// # Panics
+/// If no variant has that name.
+fn variant(name: &str) -> Variant {
+    Variant::from_name(name).unwrap_or_else(|| panic!("unknown kernel variant {name:?}"))
+}
+
+/// The per-core ceiling of the named variant, in GFLOP/s: its register
+/// tile's k-loop alone, timed in short bursts for about `seconds` on
+/// packed panels that stay in L1 (no packing, no cache misses; the fastest
+/// burst counts). Kernel benchmarks report it beside the rates `gemm` and
+/// `trsm` reach.
+///
+/// # Panics
+/// If the host cannot run `variant`.
+pub fn tile_loop_gflops<T: Scalar>(variant_name: &str, seconds: f64) -> f64 {
+    kernel::tile_loop_gflops::<T>(variant(variant_name), seconds)
+}
 
 /// `C = alpha * A * B + beta * C` (BLAS `DGEMM`, no transposes), serial.
 ///
@@ -26,6 +68,33 @@ const MC: usize = 256;
 /// # Panics
 /// On dimension mismatch.
 pub fn gemm<T: Scalar>(
+    alpha: T,
+    a: MatView<'_, T>,
+    b: MatView<'_, T>,
+    beta: T,
+    c: MatViewMut<'_, T>,
+) {
+    gemm_on(Variant::detect(), alpha, a, b, beta, c)
+}
+
+/// [`gemm`] on the named kernel variant instead of the detected one, for
+/// benchmarks that compare the variants (the result bits are the same).
+///
+/// # Panics
+/// On dimension mismatch, or if the host cannot run `variant`.
+pub fn gemm_with_variant<T: Scalar>(
+    variant_name: &str,
+    alpha: T,
+    a: MatView<'_, T>,
+    b: MatView<'_, T>,
+    beta: T,
+    c: MatViewMut<'_, T>,
+) {
+    gemm_on(variant(variant_name), alpha, a, b, beta, c)
+}
+
+fn gemm_on<T: Scalar>(
+    v: Variant,
     alpha: T,
     a: MatView<'_, T>,
     b: MatView<'_, T>,
@@ -42,26 +111,7 @@ pub fn gemm<T: Scalar>(
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
         return;
     }
-
-    let mut jc = 0;
-    while jc < n {
-        let nb = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb = KC.min(k - pc);
-            let mut ic = 0;
-            while ic < m {
-                let mb = MC.min(m - ic);
-                let a_blk = a.submatrix(ic, pc, mb, kb);
-                let b_blk = b.submatrix(pc, jc, kb, nb);
-                let c_blk = c.submatrix_mut(ic, jc, mb, nb);
-                block_kernel(alpha, a_blk, b_blk, c_blk);
-                ic += mb;
-            }
-            pc += kb;
-        }
-        jc += nb;
-    }
+    kernel::gemm(T::tile_kernel(v), alpha, a, b, c);
 }
 
 /// `C = alpha * A * B + beta * C`, splitting columns of `C` across the rayon
@@ -104,39 +154,6 @@ fn par_gemm_cols<T: Scalar>(
     );
 }
 
-/// Inner blocked kernel: `C += alpha * A * B` over one cache block, rank-4
-/// updates down contiguous columns.
-fn block_kernel<T: Scalar>(
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    mut c: MatViewMut<'_, T>,
-) {
-    let kb = a.cols();
-    let k4 = kb - kb % 4;
-    for j in 0..b.cols() {
-        let bcol = b.col(j);
-        let ccol = c.col_mut(j);
-        let mut l = 0;
-        while l < k4 {
-            let (b0, b1, b2, b3) =
-                (alpha * bcol[l], alpha * bcol[l + 1], alpha * bcol[l + 2], alpha * bcol[l + 3]);
-            let a0 = a.col(l);
-            let a1 = a.col(l + 1);
-            let a2 = a.col(l + 2);
-            let a3 = a.col(l + 3);
-            for (i, cv) in ccol.iter_mut().enumerate() {
-                *cv += a0[i] * b0 + a1[i] * b1 + a2[i] * b2 + a3[i] * b3;
-            }
-            l += 4;
-        }
-        while l < kb {
-            axpy(alpha * bcol[l], a.col(l), ccol);
-            l += 1;
-        }
-    }
-}
-
 fn scale<T: Scalar>(beta: T, mut c: MatViewMut<'_, T>) {
     if beta == T::ONE {
         return;
@@ -168,6 +185,35 @@ pub fn trsm<T: Scalar>(
     diag: Diag,
     alpha: T,
     a: MatView<'_, T>,
+    b: MatViewMut<'_, T>,
+) {
+    trsm_on(Variant::detect(), side, uplo, diag, alpha, a, b)
+}
+
+/// [`trsm`] on the named kernel variant instead of the detected one, for
+/// benchmarks that compare the variants (the result bits are the same).
+///
+/// # Panics
+/// As [`trsm`], or if the host cannot run `variant`.
+pub fn trsm_with_variant<T: Scalar>(
+    variant_name: &str,
+    side: Side,
+    uplo: Uplo,
+    diag: Diag,
+    alpha: T,
+    a: MatView<'_, T>,
+    b: MatViewMut<'_, T>,
+) {
+    trsm_on(variant(variant_name), side, uplo, diag, alpha, a, b)
+}
+
+fn trsm_on<T: Scalar>(
+    v: Variant,
+    side: Side,
+    uplo: Uplo,
+    diag: Diag,
+    alpha: T,
+    a: MatView<'_, T>,
     mut b: MatViewMut<'_, T>,
 ) {
     let n_tri = a.rows();
@@ -184,23 +230,8 @@ pub fn trsm<T: Scalar>(
     }
     match (side, uplo) {
         (Side::Left, Uplo::Lower) => {
-            // Forward substitution, column by column of B.
-            let m = b.rows();
-            for j in 0..b.cols() {
-                let bcol = b.col_mut(j);
-                for k in 0..m {
-                    if let Diag::NonUnit = diag {
-                        bcol[k] /= a.get(k, k);
-                    }
-                    let bk = bcol[k];
-                    if bk != T::ZERO {
-                        let acol = a.col(k);
-                        for i in k + 1..m {
-                            bcol[i] -= acol[i] * bk;
-                        }
-                    }
-                }
-            }
+            // Forward substitution on the packed kernel, in rank-1 order.
+            kernel::trsm_lower(T::tile_kernel(v), diag == Diag::Unit, a, b)
         }
         (Side::Left, Uplo::Upper) => {
             let m = b.rows();
@@ -279,6 +310,57 @@ pub fn gemm_naive<T: Scalar>(
             }
             let cur = c.get(i, j);
             c.set(i, j, alpha * acc + beta * cur);
+        }
+    }
+}
+
+/// The order contract of [`gemm`], stated one element at a time: the
+/// exact operation sequence every kernel variant must reproduce bit for
+/// bit. Slow; tests and property checks compare the kernels against it.
+///
+/// After `beta` is applied (and nothing more when `alpha == 0` or a
+/// dimension is 0), element `(i, j)` takes, with `b'_l = alpha · b[l, j]`:
+///
+/// * for each group of four k-steps `l .. l + 4` with `l + 4 <= k`, in
+///   ascending `l`: `c += ((a[i,l]·b'_l + a[i,l+1]·b'_{l+1}) +
+///   a[i,l+2]·b'_{l+2}) + a[i,l+3]·b'_{l+3}`;
+/// * then for each of the `k % 4` remaining steps, in ascending `l`:
+///   `c += b'_l · a[i,l]`, skipped when `b'_l == 0`.
+///
+/// Every multiply and add rounds on its own (no FMA).
+pub fn gemm_spec<T: Scalar>(
+    alpha: T,
+    a: MatView<'_, T>,
+    b: MatView<'_, T>,
+    beta: T,
+    mut c: MatViewMut<'_, T>,
+) {
+    let (m, k) = (a.rows(), a.cols());
+    let n = b.cols();
+    assert_eq!(b.rows(), k);
+    assert_eq!(c.rows(), m);
+    assert_eq!(c.cols(), n);
+    scale(beta, c.rb_mut());
+    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let k4 = k - k % 4;
+    for j in 0..n {
+        let bp = |l: usize| alpha * b.get(l, j);
+        for i in 0..m {
+            let mut cij = c.get(i, j);
+            for l in (0..k4).step_by(4) {
+                cij += a.get(i, l) * bp(l)
+                    + a.get(i, l + 1) * bp(l + 1)
+                    + a.get(i, l + 2) * bp(l + 2)
+                    + a.get(i, l + 3) * bp(l + 3);
+            }
+            for l in k4..k {
+                if bp(l) != T::ZERO {
+                    cij += bp(l) * a.get(i, l);
+                }
+            }
+            c.set(i, j, cij);
         }
     }
 }

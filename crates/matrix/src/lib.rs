@@ -9,7 +9,7 @@
 //!   borrowed, leading-dimension strided views so every kernel operates on
 //!   sub-blocks without copying (the shape ScaLAPACK-style algorithms need).
 //! * BLAS level 1/2/3: [`blas1`], [`blas2`], [`blas3`] (`iamax`, `axpy`,
-//!   `ger`, `gemv`, blocked `gemm`, the four no-transpose `trsm` cases used
+//!   `ger`, `gemv`, packed `gemm`, the four no-transpose `trsm` cases used
 //!   by LU, with optional rayon-parallel `gemm`).
 //! * LAPACK-style factorizations in [`lapack`]: `getf2` (classic partial
 //!   pivoting, the paper's `DGETF2`), `rgetf2` (recursive, the paper's
@@ -30,11 +30,15 @@
 //!   experiments use to track element growth and pivot thresholds at every
 //!   elimination stage.
 //!
-//! All kernels are written for clarity-first correctness with cache-blocked
-//! hot loops; absolute speed is not the point of the reproduction (the
-//! performance tables are regenerated under a machine model, see
-//! `calu-netsim`), but `gemm` is blocked and vectorizer-friendly so the
-//! laptop-scale experiments finish quickly.
+//! The level-3 kernels are where a dense LU spends its flops, and CALU's
+//! premise is that once tournament pivoting removes the panel bottleneck
+//! the trailing update runs at `gemm` speed. So `gemm` and the left lower
+//! `trsm` run on a packed, register-blocked micro-kernel, compiled per
+//! instruction set (AVX-512F, AVX2, portable) and chosen once at run time
+//! ([`blas3::kernel_variant`]). Speed never buys a change in the bits:
+//! every variant keeps each element's operation order and uses no FMA,
+//! so factors are identical on every host (see [`blas3`]). The BLAS-2
+//! panel kernels (`getf2`, `ger`) are still plain loops.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,6 +48,7 @@ pub mod blas2;
 pub mod blas3;
 pub mod error;
 pub mod gen;
+mod kernel;
 pub mod lapack;
 pub mod mat;
 pub mod norms;

@@ -23,7 +23,9 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 
 /// A real floating-point scalar the dense kernels can be instantiated at.
 ///
-/// Implemented for `f32` and `f64`. All arithmetic used by the kernels is
+/// Implemented for `f32` and `f64`, and sealed to them: its supertrait
+/// `Packed`, which code outside this crate cannot name, carries each
+/// type's packed `gemm`/`trsm` kernels. All arithmetic used by the kernels is
 /// expressed through the standard operator traits plus the handful of
 /// intrinsics below; algorithms must not assume a particular width — any
 /// precision-dependent tolerance belongs to [`Scalar::EPSILON`].
@@ -48,6 +50,7 @@ pub trait Scalar:
     + MulAssign
     + DivAssign
     + Sum<Self>
+    + crate::kernel::Packed
 {
     /// Additive identity.
     const ZERO: Self;

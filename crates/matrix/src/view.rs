@@ -15,10 +15,12 @@
 //!   is valid for the view's lifetime (and writable for `MatViewMut`),
 //! * distinct `MatViewMut`s never alias.
 //!
-//! All `unsafe` in this crate is confined to this module; the public
-//! splitting/sub-view API only hands out views that preserve the invariants,
-//! so kernels built on top are safe code. Element accesses are
-//! bounds-checked with `debug_assert!` (tests run with debug assertions on).
+//! The public splitting/sub-view API only hands out views that preserve the
+//! invariants, so kernels built on top are safe code. The only `unsafe`
+//! outside this module is the packed micro-kernel (`kernel.rs`), which
+//! addresses the register tiles of a view through its raw pointer. Element
+//! accesses are bounds-checked with `debug_assert!` (tests run with debug
+//! assertions on).
 
 use crate::scalar::Scalar;
 use std::fmt;
@@ -253,6 +255,13 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     pub fn col_mut(&mut self, j: usize) -> &mut [T] {
         debug_assert!(j < self.cols, "column {j} out of {}", self.cols);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * self.ld), self.rows) }
+    }
+
+    /// Pointer to element `(0, 0)`, valid for every element of the view
+    /// (the packed kernels address register tiles through it).
+    #[inline(always)]
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut T {
+        self.ptr
     }
 
     /// Two distinct columns mutably at once (used by column swaps).

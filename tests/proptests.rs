@@ -4,7 +4,7 @@
 
 use calu_repro::core::tournament::{reduce_pair, tournament, Candidates};
 use calu_repro::core::{calu_factor, calu_inplace, CaluOpts, PivotStats};
-use calu_repro::matrix::blas3::{gemm, gemm_naive};
+use calu_repro::matrix::blas3::{gemm, gemm_naive, gemm_spec};
 use calu_repro::matrix::perm::{compose, invert_perm, ipiv_to_perm, is_permutation, permute_rows};
 use calu_repro::matrix::{gen, Matrix};
 use proptest::prelude::*;
@@ -122,6 +122,34 @@ proptest! {
         gemm(alpha, a.view(), b.view(), beta, c1.view_mut());
         gemm_naive(alpha, a.view(), b.view(), beta, c2.view_mut());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10 * (k as f64 + 1.0));
+    }
+
+    #[test]
+    fn prop_gemm_follows_the_order_spec_bitwise(
+        seed in 0u64..1_000_000,
+        m in 1usize..70,
+        k in 1usize..300,
+        n in 1usize..40,
+        alpha in -2.0f64..2.0,
+        beta in -2.0f64..2.0,
+        zero_every in 2usize..9,
+    ) {
+        // Whatever variant this host dispatches to, every element of C
+        // carries exactly the spec's bits, on strided views (ld > rows)
+        // and with signed zeros in B that the rank-1 tail must skip.
+        let a = randn_mat(seed, m + 2, k);
+        let mut b = randn_mat(seed ^ 0xABCD, k, n + 1);
+        for (i, x) in b.as_mut_slice().iter_mut().enumerate().step_by(zero_every) {
+            *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let c0 = randn_mat(seed ^ 0x1234, m + 3, n);
+        let mut c1 = c0.clone();
+        let mut c2 = c0;
+        let (av, bv) = (a.view().submatrix(1, 0, m, k), b.view().submatrix(0, 1, k, n));
+        gemm(alpha, av, bv, beta, c1.view_mut().into_submatrix(2, 0, m, n));
+        gemm_spec(alpha, av, bv, beta, c2.view_mut().into_submatrix(2, 0, m, n));
+        let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&c1), bits(&c2), "m={} k={} n={}", m, k, n);
     }
 
     #[test]
