@@ -2,7 +2,7 @@
 //! runtime CALU, written as `BENCH_layout.json` so CI and later sessions
 //! can diff performance.
 //!
-//! Two kinds of evidence per `(n, executor, panel mode)` cell, because
+//! Two kinds of evidence per `(n, executor)` cell, because
 //! the container running CI may be single-core and its host cache does
 //! not match the modeled machine:
 //!
@@ -10,7 +10,9 @@
 //!   ([`calu_core::runtime_calu_inplace`]) vs the tile-backed path
 //!   ([`calu_core::runtime_calu_tiles`]) on this host, each factoring a
 //!   working copy cloned *outside* the timed region. Factors are
-//!   asserted bitwise identical between the two paths before timing.
+//!   asserted bitwise identical between the two paths, and to the
+//!   sequential [`calu_core::calu_factor`] on the same tile-leaf
+//!   tournament tree, before timing.
 //! * **modeled**: total cache traffic of the task DAG under the XT4
 //!   cost model's 2 MB cache for each [`TileLocality`], plus the
 //!   layout-aware task-time totals — the layout claim that does not
@@ -18,33 +20,26 @@
 //!   whole matrix, leaving the measured delta inside noise; the modeled
 //!   difference is the durable record.)
 //!
-//! The DAG used for the modeled columns is built with the *same*
-//! [`PanelMode`] that the measured runs execute, so modeled and executed
-//! paths always agree: the gathered DAG's tile-major `Panel(k)` charges
-//! its gather/scatter copy, the resident DAG's per-tile subgraph does
-//! not (the copy does not exist there). With `--panel both` (default)
-//! the record's `panel_comparison` section quantifies exactly the
-//! eliminated gather/scatter words.
-//!
 //! As in `BENCH_runtime.json`, `"measured_speedup_valid": false` flags a
 //! single-core host: the threaded-executor rows then measure executor
 //! overhead, not a parallel win (see EXPERIMENTS.md).
 //!
 //! Usage: `layout_calu [--n N] [--nb NB] [--reps R] [--threads T]
-//! [--panel gathered|resident|both] [--out PATH] [--trace-out PATH]`
-//! (defaults: n=0 meaning the 512 and 1024 record sizes, nb=128, reps=1,
-//! threads=0 = host, panel=both, out=BENCH_layout.json). With
+//! [--out PATH] [--trace-out PATH]` (defaults: n=0 meaning the 512 and
+//! 1024 record sizes, nb=128, reps=1, threads=0 = host,
+//! out=BENCH_layout.json). With
 //! `--trace-out`, one extra tile-major threaded run at the largest size
 //! exports its task timeline as a Chrome trace for `bench_report --trace`.
 
 use calu_bench::{write_record, HostInfo};
-use calu_core::{runtime_calu_inplace, runtime_calu_tiles, CaluOpts, RuntimeOpts};
+use calu_core::{
+    calu_factor, runtime_calu_inplace, runtime_calu_tiles, CaluOpts, PanelMode, RuntimeOpts,
+};
 use calu_matrix::{gen, Matrix, NoObs, TileMatrix};
 use calu_netsim::MachineConfig;
 use calu_obs::{JsonValue, Recorder};
 use calu_runtime::{
-    modeled_cache_traffic, modeled_time_layout, ExecutorKind, LuDag, LuShape, PanelMode,
-    TileLocality,
+    modeled_cache_traffic, modeled_time_layout, ExecutorKind, LuDag, LuShape, TileLocality,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +50,6 @@ struct Args {
     nb: usize,
     reps: usize,
     threads: usize,
-    panel: Vec<PanelMode>,
     out: String,
     trace_out: Option<String>,
 }
@@ -66,7 +60,6 @@ fn parse_args() -> Args {
         nb: 128,
         reps: 1,
         threads: 0,
-        panel: vec![PanelMode::Gathered, PanelMode::Resident],
         out: "BENCH_layout.json".into(),
         trace_out: None,
     };
@@ -89,23 +82,12 @@ fn parse_args() -> Args {
             "--nb" => args.nb = parsed(val()),
             "--reps" => args.reps = parsed(val()),
             "--threads" => args.threads = parsed(val()),
-            "--panel" => {
-                args.panel = match val().as_str() {
-                    "gathered" => vec![PanelMode::Gathered],
-                    "resident" => vec![PanelMode::Resident],
-                    "both" => vec![PanelMode::Gathered, PanelMode::Resident],
-                    other => {
-                        eprintln!("bad --panel {other:?}: expected gathered|resident|both");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--out" => args.out = val(),
             "--trace-out" => args.trace_out = Some(val()),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: layout_calu [--n N] [--nb NB] [--reps R] [--threads T] \
-                     [--panel gathered|resident|both] [--out PATH] [--trace-out PATH]"
+                     [--out PATH] [--trace-out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -118,16 +100,8 @@ fn parse_args() -> Args {
     args
 }
 
-fn mode_name(mode: PanelMode) -> &'static str {
-    match mode {
-        PanelMode::Gathered => "gathered",
-        PanelMode::Resident => "resident",
-    }
-}
-
 struct Row {
     n: usize,
-    panel: &'static str,
     executor: &'static str,
     flat_s: f64,
     tiled_s: f64,
@@ -152,151 +126,116 @@ fn main() {
 
     println!("layout_calu: nb={nb}, host_threads={host_threads}, reps={}", args.reps);
     println!(
-        "{:>6} {:>9} {:>9} {:>11} {:>11} {:>9} {:>11} {:>11} {:>8}",
-        "n", "panel", "executor", "flat", "tile", "measured", "traffic(F)", "traffic(T)", "modeled"
+        "{:>6} {:>9} {:>11} {:>11} {:>9} {:>11} {:>11} {:>8}",
+        "n", "executor", "flat", "tile", "measured", "traffic(F)", "traffic(T)", "modeled"
     );
 
     let mut rows = Vec::new();
-    // Per (mode, n): tile-major panel traffic, for the gather/scatter
-    // elimination summary below.
-    let mut panel_traffic_mb: Vec<(&'static str, usize, f64)> = Vec::new();
     for &n in &sizes {
         let a: Matrix = gen::randn(&mut rng, n, n);
-        let p = (n / nb).max(2);
         let shape = LuShape { m: n, n, nb };
         let tiles0 = TileMatrix::from_matrix(&a, nb, nb);
+        let opts = CaluOpts { block: nb, panel_mode: PanelMode::Resident, ..Default::default() };
 
-        for &mode in &args.panel {
-            let opts = CaluOpts { block: nb, p, panel_mode: mode, ..Default::default() };
+        // Correctness gate before any timing: flat and tile paths,
+        // bitwise, against the sequential sweep on the same tree.
+        let seq = calu_factor(&a, opts).expect("factorization succeeds");
+        {
+            let mut w = a.clone();
+            let (ipiv, _) =
+                runtime_calu_inplace(w.view_mut(), opts, RuntimeOpts::default(), &mut NoObs)
+                    .expect("factorization succeeds");
+            assert_eq!(ipiv, seq.ipiv, "flat pivots diverge at n={n}");
+            assert_eq!(w.max_abs_diff(&seq.lu), 0.0, "flat factors must be bitwise at n={n}");
+        }
+        {
+            let mut t = tiles0.clone();
+            let (ipiv, _) =
+                runtime_calu_tiles(&mut t, opts, RuntimeOpts::default(), &mut NoObs).unwrap();
+            assert_eq!(ipiv, seq.ipiv, "tile pivots diverge at n={n}");
+            assert_eq!(
+                t.to_matrix().max_abs_diff(&seq.lu),
+                0.0,
+                "tile factors must be bitwise identical at n={n}"
+            );
+        }
 
-            // Correctness gate before any timing: flat and tile paths,
-            // bitwise. The gathered mode is additionally pinned to the
-            // sequential sweep; the resident mode follows its own
-            // deterministic tree, so its gate is flat == tile.
-            let flat_ref = {
+        let dag = LuDag::build(shape, 1);
+        let traffic = |loc: TileLocality| -> f64 {
+            dag.tasks().iter().map(|&t| modeled_cache_traffic(&shape, t, &mch, loc)).sum()
+        };
+        let modeled = |loc: TileLocality| -> f64 {
+            dag.tasks().iter().map(|&t| modeled_time_layout(&shape, t, &mch, loc)).sum()
+        };
+        let (tf, tt) = (traffic(TileLocality::Flat), traffic(TileLocality::TileMajor));
+        let (mf, mt) = (modeled(TileLocality::Flat), modeled(TileLocality::TileMajor));
+
+        for (name, executor) in [
+            ("serial", ExecutorKind::Serial),
+            ("threaded", ExecutorKind::Threaded { threads: args.threads }),
+        ] {
+            let rt = RuntimeOpts { lookahead: 1, executor };
+            // Both timed regions factor a pre-cloned working copy in
+            // place — the clone stays outside the timer on both paths.
+            let flat_s = best_of(args.reps, || {
                 let mut w = a.clone();
-                let (ipiv, _) =
-                    runtime_calu_inplace(w.view_mut(), opts, RuntimeOpts::default(), &mut NoObs)
-                        .expect("factorization succeeds");
-                (w, ipiv)
-            };
-            if mode == PanelMode::Gathered {
-                let seq = calu_core::calu_factor(&a, opts).expect("factorization succeeds");
-                assert_eq!(flat_ref.1, seq.ipiv, "gathered pivots diverge at n={n}");
-                assert_eq!(
-                    flat_ref.0.max_abs_diff(&seq.lu),
-                    0.0,
-                    "gathered factors must be bitwise identical at n={n}"
-                );
-            }
-            {
+                let t0 = Instant::now();
+                let (ipiv, _) = runtime_calu_inplace(w.view_mut(), opts, rt, &mut NoObs)
+                    .expect("flat run succeeds");
+                let dt = t0.elapsed().as_secs_f64();
+                assert_eq!(ipiv.len(), n);
+                dt
+            });
+            let tiled_s = best_of(args.reps, || {
                 let mut t = tiles0.clone();
+                let t0 = Instant::now();
                 let (ipiv, _) =
-                    runtime_calu_tiles(&mut t, opts, RuntimeOpts::default(), &mut NoObs).unwrap();
-                assert_eq!(ipiv, flat_ref.1, "{} tile pivots diverge at n={n}", mode_name(mode));
-                assert_eq!(
-                    t.to_matrix().max_abs_diff(&flat_ref.0),
-                    0.0,
-                    "{} tile factors must be bitwise identical at n={n}",
-                    mode_name(mode)
-                );
-            }
-
-            // Modeled columns from the mode-matching DAG: executed and
-            // modeled paths agree on which panel tasks (and copies) exist.
-            let dag = LuDag::build_with(shape, 1, mode);
-            let traffic = |loc: TileLocality| -> f64 {
-                dag.tasks().iter().map(|&t| modeled_cache_traffic(&shape, t, &mch, loc)).sum()
-            };
-            let modeled = |loc: TileLocality| -> f64 {
-                dag.tasks().iter().map(|&t| modeled_time_layout(&shape, t, &mch, loc)).sum()
-            };
-            let (tf, tt) = (traffic(TileLocality::Flat), traffic(TileLocality::TileMajor));
-            let (mf, mt) = (modeled(TileLocality::Flat), modeled(TileLocality::TileMajor));
-            panel_traffic_mb.push((
-                mode_name(mode),
+                    runtime_calu_tiles(&mut t, opts, rt, &mut NoObs).expect("tile run succeeds");
+                let dt = t0.elapsed().as_secs_f64();
+                assert_eq!(ipiv.len(), n);
+                dt
+            });
+            println!(
+                "{:>6} {:>9} {:>9.1}ms {:>9.1}ms {:>8.2}x {:>9.1}MB {:>9.1}MB {:>7.2}x",
                 n,
-                dag.tasks()
-                    .iter()
-                    .filter(|t| t.cat().starts_with("panel"))
-                    .map(|&t| modeled_cache_traffic(&shape, t, &mch, TileLocality::TileMajor))
-                    .sum::<f64>()
-                    / 1e6,
-            ));
-
-            for (name, executor) in [
-                ("serial", ExecutorKind::Serial),
-                ("threaded", ExecutorKind::Threaded { threads: args.threads }),
-            ] {
-                let rt = RuntimeOpts { lookahead: 1, executor, parallel_panel: false };
-                // Both timed regions factor a pre-cloned working copy in
-                // place — the clone stays outside the timer on both paths.
-                let flat_s = best_of(args.reps, || {
-                    let mut w = a.clone();
-                    let t0 = Instant::now();
-                    let (ipiv, _) = runtime_calu_inplace(w.view_mut(), opts, rt, &mut NoObs)
-                        .expect("flat run succeeds");
-                    let dt = t0.elapsed().as_secs_f64();
-                    assert_eq!(ipiv.len(), n);
-                    dt
-                });
-                let tiled_s = best_of(args.reps, || {
-                    let mut t = tiles0.clone();
-                    let t0 = Instant::now();
-                    let (ipiv, _) = runtime_calu_tiles(&mut t, opts, rt, &mut NoObs)
-                        .expect("tile run succeeds");
-                    let dt = t0.elapsed().as_secs_f64();
-                    assert_eq!(ipiv.len(), n);
-                    dt
-                });
-                println!(
-                    "{:>6} {:>9} {:>9} {:>9.1}ms {:>9.1}ms {:>8.2}x {:>9.1}MB {:>9.1}MB {:>7.2}x",
-                    n,
-                    mode_name(mode),
-                    name,
-                    flat_s * 1e3,
-                    tiled_s * 1e3,
-                    flat_s / tiled_s,
-                    tf / 1e6,
-                    tt / 1e6,
-                    mf / mt
-                );
-                rows.push(Row {
-                    n,
-                    panel: mode_name(mode),
-                    executor: name,
-                    flat_s,
-                    tiled_s,
-                    traffic_flat_mb: tf / 1e6,
-                    traffic_tiled_mb: tt / 1e6,
-                    modeled_flat_s: mf,
-                    modeled_tiled_s: mt,
-                });
-            }
+                name,
+                flat_s * 1e3,
+                tiled_s * 1e3,
+                flat_s / tiled_s,
+                tf / 1e6,
+                tt / 1e6,
+                mf / mt
+            );
+            rows.push(Row {
+                n,
+                executor: name,
+                flat_s,
+                tiled_s,
+                traffic_flat_mb: tf / 1e6,
+                traffic_tiled_mb: tt / 1e6,
+                modeled_flat_s: mf,
+                modeled_tiled_s: mt,
+            });
         }
     }
 
     if let Some(path) = &args.trace_out {
         // One extra tile-major threaded run at the largest size, replayed
         // into a Chrome trace so `bench_report --trace` can profile it.
-        // Uses the last selected panel mode (resident under `both`).
-        let mode = *args.panel.last().expect("at least one panel mode");
         let n = *sizes.last().expect("sizes non-empty");
         let a: Matrix = gen::randn(&mut rng, n, n);
         let mut t = TileMatrix::from_matrix(&a, nb, nb);
-        let opts =
-            CaluOpts { block: nb, p: (n / nb).max(2), panel_mode: mode, ..Default::default() };
+        let opts = CaluOpts { block: nb, ..Default::default() };
         let rt = RuntimeOpts {
             lookahead: 1,
             executor: ExecutorKind::Threaded { threads: args.threads },
-            parallel_panel: false,
         };
         let (ipiv, rep) = runtime_calu_tiles(&mut t, opts, rt, &mut NoObs).expect("traced run");
         assert_eq!(ipiv.len(), n);
         let rec = Recorder::new();
         rep.record_into(&rec, 0.0);
         std::fs::write(path, rec.chrome_trace()).expect("write trace json");
-        println!("wrote {path} ({} spans, {} panel mode)", rec.len(), mode_name(mode));
+        println!("wrote {path} ({} spans)", rec.len());
     }
 
     if !host.measured_speedup_valid {
@@ -308,33 +247,9 @@ fn main() {
         );
     }
 
-    // Panel-mode comparison: the tile-major panel traffic per mode, and
-    // the per-size gather/scatter words the resident subgraph eliminates.
-    let mut cmp_rows = Vec::new();
-    for &n in &sizes {
-        let find = |m: &str| {
-            panel_traffic_mb.iter().find(|&&(pm, pn, _)| pm == m && pn == n).map(|&(_, _, v)| v)
-        };
-        if let (Some(g), Some(r)) = (find("gathered"), find("resident")) {
-            println!(
-                "n={n}: tile-major panel traffic gathered {g:.1}MB vs resident {r:.1}MB \
-                 (eliminated gather/scatter: {:.1}MB)",
-                g - r
-            );
-            cmp_rows.push(
-                JsonValue::obj()
-                    .set("n", n)
-                    .set("panel_traffic_gathered_mb", g)
-                    .set("panel_traffic_resident_mb", r)
-                    .set("eliminated_panel_copy_mb", g - r),
-            );
-        }
-    }
-
     let row_json = |r: &Row| {
         JsonValue::obj()
             .set("n", r.n)
-            .set("panel", r.panel)
             .set("executor", r.executor)
             .set("flat_s", r.flat_s)
             .set("tiled_s", r.tiled_s)
@@ -345,7 +260,7 @@ fn main() {
             .set("modeled_time_flat_s", r.modeled_flat_s)
             .set("modeled_time_tiled_s", r.modeled_tiled_s)
     };
-    let mut record = host
+    let record = host
         .stamp(
             JsonValue::obj()
                 .set("bench", "layout_calu")
@@ -355,8 +270,5 @@ fn main() {
         .set("reps", args.reps)
         .set("model", "xt4")
         .set("rows", rows.iter().map(row_json).collect::<JsonValue>());
-    if !cmp_rows.is_empty() {
-        record = record.set("panel_comparison", cmp_rows.into_iter().collect::<JsonValue>());
-    }
     write_record(&args.out, &record);
 }

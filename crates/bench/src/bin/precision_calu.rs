@@ -101,11 +101,7 @@ fn main() {
     let b: Vec<f64> = gen::hpl_rhs(&mut rng, n);
 
     let opts = CaluOpts { block: nb, p: 4, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 2,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 0 } };
 
     println!("precision_calu: {n}x{n}, nb={nb}, host_threads={host_threads}, reps={}", args.reps);
 

@@ -1,7 +1,6 @@
 //! Runtime-executor performance record: serial vs. threaded execution of
-//! the CALU task DAG at several lookahead depths and both panel modes,
-//! written as `BENCH_runtime.json` so CI and later sessions can diff
-//! performance.
+//! the CALU task DAG at several lookahead depths, written as
+//! `BENCH_runtime.json` so CI and later sessions can diff performance.
 //!
 //! Two win metrics are recorded, because the container running CI may be
 //! single-core:
@@ -18,23 +17,10 @@
 //! committed record from a single-core CI container cannot be mistaken
 //! for a parallel-win measurement (see EXPERIMENTS.md).
 //!
-//! The `--panel` flag selects the panel decomposition: `gathered` (one
-//! monolithic `Panel(k)` task per step), `resident` (the per-tile
-//! `PanelElect`/`PanelReduce`/`PanelFinish`/`PanelApply` tournament
-//! subgraph), or `both` (the default). With both modes the record gains a
-//! `panel_comparison` section: per mode, one traced threaded run's
-//! measured panel-phase time, the idle-during-panel wait
-//! (`calu_obs::idle_overlap_ns`), the modeled critical path, and the
-//! modeled tile-major panel traffic — including the gather/scatter words
-//! the resident subgraph eliminates. The gathered reference uses
-//! `p = max(n/nb, 2)` tournament blocks so its leaves coincide with the
-//! resident tree's tile-height leaves at the first step (apples to
-//! apples); each row records its `p`.
-//!
 //! Usage: `runtime_calu [--n N] [--nb NB] [--reps R] [--threads T]
-//! [--panel gathered|resident|both] [--out PATH] [--trace-out PATH]`
-//! (defaults: n=1024, nb=128, reps=1, threads=0 = host, panel=both,
-//! out=BENCH_runtime.json). With `--trace-out`, one extra threaded run at
+//! [--out PATH] [--trace-out PATH]` (defaults: n=1024, nb=128, reps=1,
+//! threads=0 = host, out=BENCH_runtime.json); each cell is the best of
+//! `R` runs. With `--trace-out`, one extra threaded run at
 //! the deepest lookahead exports its task timeline as a Chrome trace that
 //! `bench_report --trace` (or `chrome://tracing`) can consume.
 
@@ -42,11 +28,8 @@ use calu_bench::{write_record, HostInfo};
 use calu_core::{runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_matrix::{gen, Matrix};
 use calu_netsim::MachineConfig;
-use calu_obs::analyze::measured_phase_ns;
-use calu_obs::{idle_overlap_ns, JsonValue, Profile, ProfileInputs, Recorder};
-use calu_runtime::{
-    modeled_cache_traffic, modeled_time, ExecutorKind, LuDag, LuShape, PanelMode, TileLocality,
-};
+use calu_obs::{JsonValue, Recorder};
+use calu_runtime::{modeled_time, ExecutorKind, LuDag, LuShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -56,7 +39,6 @@ struct Args {
     nb: usize,
     reps: usize,
     threads: usize,
-    panel: Vec<PanelMode>,
     out: String,
     trace_out: Option<String>,
 }
@@ -67,7 +49,6 @@ fn parse_args() -> Args {
         nb: 128,
         reps: 1,
         threads: 0,
-        panel: vec![PanelMode::Gathered, PanelMode::Resident],
         out: "BENCH_runtime.json".into(),
         trace_out: None,
     };
@@ -90,23 +71,12 @@ fn parse_args() -> Args {
             "--nb" => args.nb = parsed(val()),
             "--reps" => args.reps = parsed(val()),
             "--threads" => args.threads = parsed(val()),
-            "--panel" => {
-                args.panel = match val().as_str() {
-                    "gathered" => vec![PanelMode::Gathered],
-                    "resident" => vec![PanelMode::Resident],
-                    "both" => vec![PanelMode::Gathered, PanelMode::Resident],
-                    other => {
-                        eprintln!("bad --panel {other:?}: expected gathered|resident|both");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--out" => args.out = val(),
             "--trace-out" => args.trace_out = Some(val()),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: runtime_calu [--n N] [--nb NB] [--reps R] [--threads T] \
-                     [--panel gathered|resident|both] [--out PATH] [--trace-out PATH]"
+                     [--out PATH] [--trace-out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -119,32 +89,13 @@ fn parse_args() -> Args {
     args
 }
 
-fn mode_name(mode: PanelMode) -> &'static str {
-    match mode {
-        PanelMode::Gathered => "gathered",
-        PanelMode::Resident => "resident",
-    }
-}
-
 struct Row {
-    panel: &'static str,
-    p: usize,
     depth: usize,
     serial_s: f64,
     threaded_s: f64,
     tasks: usize,
     modeled_serial_s: f64,
     modeled_cp_s: f64,
-}
-
-/// One mode's traced threaded run for the `panel_comparison` section.
-struct PanelSide {
-    mode: &'static str,
-    wall_s: f64,
-    panel_measured_ns: u64,
-    panel_wait_ns: u64,
-    modeled_cp_s: f64,
-    panel_traffic_mb: f64,
 }
 
 fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
@@ -158,66 +109,52 @@ fn main() {
     let host_threads = host.host_threads;
     let mut rng = StdRng::seed_from_u64(2024);
     let a: Matrix = gen::randn(&mut rng, n, n);
-    // Apples-to-apples tournament granularity: the gathered reference
-    // folds p = max(n/nb, 2) block-rows, matching the resident tree's
-    // tile-height leaves at the first panel.
-    let p = (n / nb).max(2);
-    let opts_for =
-        |mode: PanelMode| CaluOpts { block: nb, p, panel_mode: mode, ..Default::default() };
+    let opts = CaluOpts { block: nb, ..Default::default() };
     let shape = LuShape { m: n, n, nb };
     let mch = MachineConfig::power5();
 
+    println!("runtime_calu: {n}x{n}, nb={nb}, host_threads={host_threads}, reps={}", args.reps);
     println!(
-        "runtime_calu: {n}x{n}, nb={nb}, p={p}, host_threads={host_threads}, reps={}",
-        args.reps
-    );
-    println!(
-        "{:>9} {:>5} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9}",
-        "panel", "depth", "serial", "threaded", "measured", "model 1-wkr", "model CP", "modeled"
+        "{:>5} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9}",
+        "depth", "serial", "threaded", "measured", "model 1-wkr", "model CP", "modeled"
     );
 
     let mut rows = Vec::new();
-    for &mode in &args.panel {
-        for depth in [1usize, 2, 3] {
-            let run = |executor: ExecutorKind| {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                let t0 = Instant::now();
-                let (f, _rep) =
-                    runtime_calu_factor(&a, opts_for(mode), rt).expect("factorization succeeds");
-                let dt = t0.elapsed().as_secs_f64();
-                // Keep the factors alive so the call is not optimized away.
-                assert_eq!(f.ipiv.len(), n);
-                dt
-            };
-            let serial_s = best_of(args.reps, || run(ExecutorKind::Serial));
-            let threaded_s =
-                best_of(args.reps, || run(ExecutorKind::Threaded { threads: args.threads }));
+    for depth in [1usize, 2, 3] {
+        let run = |executor: ExecutorKind| {
+            let rt = RuntimeOpts { lookahead: depth, executor };
+            let t0 = Instant::now();
+            let (f, _rep) = runtime_calu_factor(&a, opts, rt).expect("factorization succeeds");
+            let dt = t0.elapsed().as_secs_f64();
+            // Keep the factors alive so the call is not optimized away.
+            assert_eq!(f.ipiv.len(), n);
+            dt
+        };
+        let serial_s = best_of(args.reps, || run(ExecutorKind::Serial));
+        let threaded_s =
+            best_of(args.reps, || run(ExecutorKind::Threaded { threads: args.threads }));
 
-            let dag = LuDag::build_with(shape, depth, mode);
-            let modeled_serial_s = dag.total_cost(|t| modeled_time(&shape, t, &mch));
-            let modeled_cp_s = dag.critical_path(|t| modeled_time(&shape, t, &mch));
-            println!(
-                "{:>9} {:>5} {:>10.1}ms {:>10.1}ms {:>8.2}x {:>10.1}ms {:>10.1}ms {:>8.2}x",
-                mode_name(mode),
-                depth,
-                serial_s * 1e3,
-                threaded_s * 1e3,
-                serial_s / threaded_s,
-                modeled_serial_s * 1e3,
-                modeled_cp_s * 1e3,
-                modeled_serial_s / modeled_cp_s
-            );
-            rows.push(Row {
-                panel: mode_name(mode),
-                p,
-                depth,
-                serial_s,
-                threaded_s,
-                tasks: dag.len(),
-                modeled_serial_s,
-                modeled_cp_s,
-            });
-        }
+        let dag = LuDag::build(shape, depth);
+        let modeled_serial_s = dag.total_cost(|t| modeled_time(&shape, t, &mch));
+        let modeled_cp_s = dag.critical_path(|t| modeled_time(&shape, t, &mch));
+        println!(
+            "{:>5} {:>10.1}ms {:>10.1}ms {:>8.2}x {:>10.1}ms {:>10.1}ms {:>8.2}x",
+            depth,
+            serial_s * 1e3,
+            threaded_s * 1e3,
+            serial_s / threaded_s,
+            modeled_serial_s * 1e3,
+            modeled_cp_s * 1e3,
+            modeled_serial_s / modeled_cp_s
+        );
+        rows.push(Row {
+            depth,
+            serial_s,
+            threaded_s,
+            tasks: dag.len(),
+            modeled_serial_s,
+            modeled_cp_s,
+        });
     }
 
     let measured_valid = host.measured_speedup_valid;
@@ -227,8 +164,7 @@ fn main() {
         .expect("rows non-empty");
     if measured_valid {
         println!(
-            "\nbest measured win: {} depth {} at {:.2}x; best modeled critical-path win: {:.2}x",
-            best.panel,
+            "\nbest measured win: depth {} at {:.2}x; best modeled critical-path win: {:.2}x",
             best.depth,
             best.serial_s / best.threaded_s,
             rows.iter().map(|r| r.modeled_serial_s / r.modeled_cp_s).fold(0.0, f64::max)
@@ -242,104 +178,23 @@ fn main() {
         );
     }
 
-    // Panel-mode comparison: one traced threaded run per selected mode at
-    // depth 2, profiled through calu-obs — measured panel-phase time, the
-    // idle-during-panel wait the decomposition exists to shrink, and the
-    // modeled tile-major panel traffic whose gathered/resident difference
-    // is exactly the eliminated gather/scatter copy.
-    let mut sides: Vec<PanelSide> = Vec::new();
-    for &mode in &args.panel {
-        let rt = RuntimeOpts {
-            lookahead: 2,
-            executor: ExecutorKind::Threaded { threads: args.threads },
-            parallel_panel: false,
-        };
-        let (f, rep) = runtime_calu_factor(&a, opts_for(mode), rt).expect("traced run succeeds");
-        assert_eq!(f.ipiv.len(), n);
-        let rec = Recorder::new();
-        rep.record_into(&rec, 0.0);
-        let spans = rec.take();
-        let wall_ns = (rep.wall * 1e9).round() as u64;
-        let is_panel = |c: &str| c.starts_with("panel");
-        let panel_measured_ns = measured_phase_ns(&spans)
-            .into_iter()
-            .filter(|(cat, _)| is_panel(cat))
-            .map(|(_, ns)| ns)
-            .sum();
-        let panel_wait_ns = idle_overlap_ns(&spans, is_panel, wall_ns);
-        // The sum-to-wall partition must hold exactly on this run
-        // (Profile::build asserts it per lane).
-        let profile = Profile::build(
-            &spans,
-            ProfileInputs {
-                wall_s: rep.wall,
-                overhead_ns: &rep.queue_delay_ns_by_lane(),
-                ..Default::default()
-            },
-        );
-        assert!(profile.workers.iter().all(|w| w.partition_exact()));
-        let dag = LuDag::build_with(shape, 2, mode);
-        let panel_traffic_mb = dag
-            .tasks()
-            .iter()
-            .filter(|t| is_panel(t.cat()))
-            .map(|&t| modeled_cache_traffic(&shape, t, &mch, TileLocality::TileMajor))
-            .sum::<f64>()
-            / 1e6;
-        sides.push(PanelSide {
-            mode: mode_name(mode),
-            wall_s: rep.wall,
-            panel_measured_ns,
-            panel_wait_ns,
-            modeled_cp_s: dag.critical_path(|t| modeled_time(&shape, t, &mch)),
-            panel_traffic_mb,
-        });
-    }
-    println!(
-        "\n{:>9} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "panel", "wall", "panel time", "panel wait", "model CP", "panel MB"
-    );
-    for s in &sides {
-        println!(
-            "{:>9} {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>10.1}MB",
-            s.mode,
-            s.wall_s * 1e3,
-            s.panel_measured_ns as f64 / 1e6,
-            s.panel_wait_ns as f64 / 1e6,
-            s.modeled_cp_s * 1e3,
-            s.panel_traffic_mb
-        );
-    }
-    if let [g, r] = &sides[..] {
-        println!(
-            "resident vs gathered: panel time {:.2}x, eliminated gather/scatter {:.1}MB",
-            g.panel_measured_ns as f64 / (r.panel_measured_ns as f64).max(1.0),
-            g.panel_traffic_mb - r.panel_traffic_mb
-        );
-    }
-
     if let Some(path) = &args.trace_out {
         // One extra threaded run at the deepest lookahead, replayed into a
-        // Chrome trace so `bench_report --trace` can profile it. Uses the
-        // last selected panel mode (resident under the default `both`).
-        let mode = *args.panel.last().expect("at least one panel mode");
+        // Chrome trace so `bench_report --trace` can profile it.
         let rt = RuntimeOpts {
             lookahead: 3,
             executor: ExecutorKind::Threaded { threads: args.threads },
-            parallel_panel: false,
         };
-        let (f, rep) = runtime_calu_factor(&a, opts_for(mode), rt).expect("traced run succeeds");
+        let (f, rep) = runtime_calu_factor(&a, opts, rt).expect("traced run succeeds");
         assert_eq!(f.ipiv.len(), n);
         let rec = Recorder::new();
         rep.record_into(&rec, 0.0);
         std::fs::write(path, rec.chrome_trace()).expect("write trace json");
-        println!("wrote {path} ({} spans, {} panel mode)", rec.len(), mode_name(mode));
+        println!("wrote {path} ({} spans)", rec.len());
     }
 
     let row_json = |r: &Row| {
         JsonValue::obj()
-            .set("panel", r.panel)
-            .set("p", r.p)
             .set("depth", r.depth)
             .set("tasks", r.tasks)
             .set("serial_s", r.serial_s)
@@ -349,40 +204,16 @@ fn main() {
             .set("modeled_cp_s", r.modeled_cp_s)
             .set("modeled_cp_speedup", r.modeled_serial_s / r.modeled_cp_s)
     };
-    let side_json = |s: &PanelSide| {
-        JsonValue::obj()
-            .set("panel", s.mode)
-            .set("wall_s", s.wall_s)
-            .set("panel_measured_ns", s.panel_measured_ns)
-            .set("panel_wait_ns", s.panel_wait_ns)
-            .set("modeled_cp_s", s.modeled_cp_s)
-            .set("modeled_panel_traffic_tile_mb", s.panel_traffic_mb)
-            .set("partition_exact", true)
-    };
-    let mut record = host
+    let record = host
         .stamp(
             JsonValue::obj()
                 .set("bench", "runtime_calu")
                 .set("n", n)
                 .set("nb", nb)
-                .set("p", p)
                 .set("communicator", "shared_memory"),
         )
         .set("reps", args.reps)
         .set("model", "power5")
         .set("rows", rows.iter().map(row_json).collect::<JsonValue>());
-    let mut cmp = JsonValue::obj()
-        .set("depth", 2usize)
-        .set("executor", "threaded")
-        .set("modes", sides.iter().map(side_json).collect::<JsonValue>());
-    if let [g, r] = &sides[..] {
-        cmp = cmp
-            .set(
-                "panel_time_ratio",
-                g.panel_measured_ns as f64 / (r.panel_measured_ns as f64).max(1.0),
-            )
-            .set("eliminated_panel_copy_mb", g.panel_traffic_mb - r.panel_traffic_mb);
-    }
-    record = record.set("panel_comparison", cmp);
     write_record(&args.out, &record);
 }

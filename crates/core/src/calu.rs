@@ -9,31 +9,52 @@
 //! sequential implementation here defines the *numerics* (which the
 //! distributed one must and does match bit for bit) and powers the
 //! stability study.
+//!
+//! Tournament pivoting is defined for any reduction tree over the panel's
+//! block rows, and [`PanelMode`] picks the tree. [`PanelMode::Gathered`]
+//! is the paper's `p`-way TSLU (the stability tables' setting);
+//! [`PanelMode::Resident`] uses one leaf per `block`-high tile, the tree
+//! the task-graph runtime ([`crate::rt`]) always runs, so this sweep is
+//! the runtime's bitwise oracle.
 
-use crate::tslu::{tslu_factor, LocalLu};
+use crate::tslu::{tslu_factor, tslu_factor_tiles, LocalLu};
 use calu_matrix::blas3::{gemm, par_gemm, trsm};
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{Diag, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side, Uplo};
-use calu_runtime::PanelMode;
+
+/// Which reduction tree the panel tournament folds.
+///
+/// Both trees are deterministic and elect valid pivots; they elect
+/// different ones, so the factors of the two modes differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum PanelMode {
+    /// The paper's TSLU: `p` nearly equal block rows, folded by the
+    /// butterfly-shaped [`tournament`](crate::tournament::tournament).
+    #[default]
+    Gathered,
+    /// One leaf per `block`-high tile of the panel, folded pairwise level
+    /// by level (an odd tail passes through,
+    /// [`panel_tree_levels`](calu_runtime::panel_tree_levels)); `L₂₁` is
+    /// formed tile by tile. The task-graph runtime's panel.
+    Resident,
+}
 
 /// CALU tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CaluOpts {
     /// Panel width `b` (the paper sweeps 50/100/150).
     pub block: usize,
-    /// Tournament height: the number of block-rows each panel is split
-    /// into (`Pr` in the distributed algorithm). `p == 1` degenerates to
-    /// GEPP.
+    /// Tournament height under [`PanelMode::Gathered`]: the number of
+    /// block-rows each panel is split into (`Pr` in the distributed
+    /// algorithm). `p == 1` degenerates to GEPP.
     pub p: usize,
     /// Local LU used inside TSLU's preprocessing.
     pub local: LocalLu,
-    /// Run trailing updates on the rayon pool.
+    /// Run the sequential sweep's trailing updates on the rayon pool.
     pub parallel_update: bool,
-    /// How the runtime engines factor panels ([`PanelMode::Gathered`] is
-    /// the bitwise sequential reference; [`PanelMode::Resident`] is the
-    /// per-tile tournament subgraph). The sequential sweeps here
-    /// ([`calu_inplace`]/[`calu_factor`]) always run gathered and ignore
-    /// this knob.
+    /// The panel tournament's reduction tree. The task-graph runtime
+    /// ([`crate::rt`]) ignores this field and `p`: it always runs
+    /// [`PanelMode::Resident`].
     pub panel_mode: PanelMode,
 }
 
@@ -109,13 +130,17 @@ pub fn calu_inplace<T: Scalar, O: PivotObserver<T>>(
         // TSLU panel factorization (tournament + unpivoted LU).
         {
             let panel = a.submatrix_mut(k, k, m - k, jb);
-            let r = tslu_factor(panel, opts.p, opts.local, obs).map_err(|e| match e {
+            let r = match opts.panel_mode {
+                PanelMode::Gathered => tslu_factor(panel, opts.p, opts.local, obs).map(|r| r.ipiv),
+                PanelMode::Resident => tslu_factor_tiles(panel, nb, opts.local, obs),
+            };
+            let r = r.map_err(|e| match e {
                 calu_matrix::Error::SingularPivot { step } => {
                     calu_matrix::Error::SingularPivot { step: step + k }
                 }
                 other => other,
             })?;
-            ipiv[k..k + jb].copy_from_slice(&r.ipiv);
+            ipiv[k..k + jb].copy_from_slice(&r);
         }
 
         // Apply the panel's swaps to the columns left and right of it.
@@ -189,8 +214,11 @@ mod tests {
             (65, 65, 8, 4), // non-divisible shapes
         ] {
             let a0 = gen::randn(&mut rng, m, n);
-            let f = calu_factor(&a0, CaluOpts { block: b, p, ..Default::default() }).unwrap();
-            check_plu(&a0, &f.lu, &f.ipiv, 1e-8 * m as f64);
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let f = calu_factor(&a0, opts).unwrap();
+                check_plu(&a0, &f.lu, &f.ipiv, 1e-8 * m as f64);
+            }
         }
     }
 
@@ -285,13 +313,16 @@ mod tests {
             &[(48usize, 48usize, 8usize, 4usize), (64, 32, 8, 8), (40, 56, 16, 2), (33, 33, 5, 3)]
         {
             let a0: Matrix = gen::randn(&mut rng, m, n);
-            let f = calu_factor(&a0, CaluOpts { block: b, p, ..Default::default() }).unwrap();
-            assert_eq!(f.ipiv.len(), m.min(n));
-            for (i, &pv) in f.ipiv.iter().enumerate() {
-                assert!(pv >= i && pv < m, "swap {i} <-> {pv} out of range (m={m})");
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let f = calu_factor(&a0, opts).unwrap();
+                assert_eq!(f.ipiv.len(), m.min(n));
+                for (i, &pv) in f.ipiv.iter().enumerate() {
+                    assert!(pv >= i && pv < m, "swap {i} <-> {pv} out of range (m={m})");
+                }
+                let perm = ipiv_to_perm(&f.ipiv, m);
+                assert!(is_permutation(&perm), "m={m} n={n} b={b} p={p} {panel_mode:?}");
             }
-            let perm = ipiv_to_perm(&f.ipiv, m);
-            assert!(is_permutation(&perm), "m={m} n={n} b={b} p={p}");
         }
     }
 

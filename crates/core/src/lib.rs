@@ -4,17 +4,19 @@
 //! set of numerics:
 //!
 //! * **Sequential reference** ([`calu`], [`tslu`], [`mod@tournament`]) — defines
-//!   the algorithm: per panel, each of `p` block-rows elects `b` candidate
-//!   pivot rows by GEPP, a binary tournament elects the `b` winners, the
+//!   the algorithm: per panel, each block row elects `b` candidate pivot
+//!   rows by GEPP, a binary tournament elects the `b` winners, the
 //!   winners are swapped on top and the panel is factored *without*
-//!   pivoting; then the usual `trsm`/`gemm` trailing update.
-//! * **Shared-memory parallel** ([`par`], [`tiled`], [`rt`]) — both
-//!   front-ends schedule on the `calu-runtime` task DAG (work-stealing
-//!   executor, critical-path-first priorities); [`rt`] exposes the full
-//!   engine with any lookahead depth, so the next panels' TSLUs overlap
-//!   the bulk trailing updates (the paper's "multicore" future-work
-//!   direction and HPL's look-ahead technique, Section 4); bitwise
-//!   identical factors on every schedule.
+//!   pivoting; then the usual `trsm`/`gemm` trailing update. The block
+//!   rows are the paper's `p`-way split or one per tile ([`PanelMode`]).
+//! * **Shared-memory parallel** ([`tiled`], [`rt`]) — schedules on the
+//!   `calu-runtime` task DAG (work-stealing executor, critical-path-first
+//!   priorities) with the tile-leaf tournament panel; [`rt`] exposes the
+//!   full engine with any lookahead depth, so the next panels' elections
+//!   overlap the bulk trailing updates (the paper's "multicore"
+//!   future-work direction and HPL's look-ahead technique, Section 4);
+//!   factors bitwise identical to the sequential sweep with
+//!   [`PanelMode::Resident`] on every schedule.
 //! * **Simulated-distributed** ([`dist`]) — the paper's actual setting: the
 //!   2D block-cyclic layout on a `Pr x Pc` grid over `calu-netsim`, with
 //!   TSLU as a butterfly all-reduce, plus the ScaLAPACK `PDGETRF`/`PDGETF2`
@@ -39,7 +41,6 @@ pub mod dist_rt;
 pub mod dist_threaded;
 pub mod gepp;
 pub mod instrument;
-pub mod par;
 pub mod rt;
 pub mod serve;
 pub mod solve;
@@ -47,13 +48,11 @@ pub mod tiled;
 pub mod tournament;
 pub mod tslu;
 
-pub use calu::{calu_factor, calu_inplace, CaluOpts, LuFactors};
-pub use calu_runtime::PanelMode;
+pub use calu::{calu_factor, calu_inplace, CaluOpts, LuFactors, PanelMode};
 pub use comm::{CommKind, ThreadedComm};
 pub use dist_rt::{dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport};
 pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
-pub use par::{par_calu_factor, par_calu_inplace};
 pub use rt::{
     runtime_calu_factor, runtime_calu_inplace, runtime_calu_tiles, runtime_calu_tiles_factor,
     RuntimeOpts,

@@ -1,18 +1,20 @@
 //! CALU on the `calu-runtime` task DAG — the shared-memory execution
-//! engine behind [`tiled_calu_inplace`](crate::tiled::tiled_calu_inplace)
-//! and [`par_calu_inplace`](crate::par::par_calu_inplace), exposed
-//! directly as [`runtime_calu_inplace`] for callers that want to pick the
-//! executor and lookahead depth.
+//! engine behind [`tiled_calu_inplace`](crate::tiled::tiled_calu_inplace),
+//! exposed directly as [`runtime_calu_inplace`] for callers that want to
+//! pick the executor and lookahead depth.
 //!
 //! The runtime schedules; this module supplies the kernels: a
 //! [`calu_runtime::TaskRunner`] whose task bodies are the *same* calls the
-//! sequential sweep makes, carved into block-column / tile granularity.
-//! Why the factors are **bitwise identical** to
-//! [`calu_inplace`](crate::calu::calu_inplace) under *any* topological
-//! execution order:
+//! sequential sweep makes under [`PanelMode::Resident`], carved into
+//! tile granularity. Why the factors are **bitwise identical** to
+//! [`calu_inplace`](crate::calu::calu_inplace) with
+//! [`PanelMode::Resident`] under *any* topological execution order:
 //!
-//! * the panel kernel ([`tslu_factor_with`]) is byte-for-byte the
-//!   sequential call on the same full-height panel;
+//! * the panel subgraph runs the steps of the sequential sweep's
+//!   tile-leaf TSLU (`tslu_factor_tiles`) one task each:
+//!   per-tile elections, the same pairwise fold (the tree is a pure
+//!   function of the tile count, so the winners do not depend on which
+//!   reduce ran first), the top tile's elimination, and per-tile `L₂₁`;
 //! * row swaps applied per block column are the same element swaps as one
 //!   whole-matrix `apply_ipiv`;
 //! * `trsm` forward-substitutes each column of `U₁₂` independently, so a
@@ -27,27 +29,27 @@
 //! The observer is shared behind a mutex, locked per callback (so a
 //! concurrent tile's `on_stage` never waits out a panel); its statistics
 //! are order-free (documented on [`crate::instrument::PivotStats`]), and
-//! the panel events — the only ordered ones — are serialized by the
-//! panel chain.
+//! the pivot events — the only ordered ones — all come from one
+//! `PanelFinish` per step, serialized by the panel chain.
+//!
+//! [`PanelMode::Resident`]: crate::calu::PanelMode::Resident
 
-use calu_matrix::blas1::scal;
-use calu_matrix::blas2::ger;
 use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::lapack::lu_nopiv;
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{
-    Diag, Error, MatView, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side,
-    TileLayout, TileMatrix, Uplo,
+    Diag, Error, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side, TileLayout,
+    TileMatrix, Uplo,
 };
 use calu_runtime::{
-    panel_tree_levels, panel_tree_resolve, ExecReport, ExecutorKind, LuDag, LuShape, PanelMode,
-    Task, TaskRunner,
+    panel_tree_levels, panel_tree_resolve, ExecReport, ExecutorKind, LuDag, LuShape, Task,
+    TaskRunner,
 };
 use std::sync::Mutex;
 
 use crate::calu::{CaluOpts, LuFactors};
 use crate::tournament::{reduce_pair, Candidates};
-use crate::tslu::{local_candidates, tslu_factor_with, winners_to_ipiv, LocalLu};
+use crate::tslu::{apply_l21, elect_block, winners_to_ipiv};
 
 /// How a runtime-scheduled factorization should execute.
 #[derive(Debug, Clone, Copy)]
@@ -58,19 +60,11 @@ pub struct RuntimeOpts {
     pub lookahead: usize,
     /// Which executor drives the DAG.
     pub executor: ExecutorKind,
-    /// Elect panel candidates on the rayon pool inside each `Panel` task
-    /// (the numerics are identical either way; see
-    /// [`crate::tslu::tslu_pivots_with`]).
-    pub parallel_panel: bool,
 }
 
 impl Default for RuntimeOpts {
     fn default() -> Self {
-        Self {
-            lookahead: 1,
-            executor: ExecutorKind::Threaded { threads: 0 },
-            parallel_panel: false,
-        }
+        Self { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } }
     }
 }
 
@@ -119,12 +113,13 @@ impl<T: Scalar> SharedMat<T> {
     }
 }
 
-/// Shared pivot vector: `Panel(k)` writes its `jb` slots exclusively
-/// ([`Self::write`]), `Swap(k, ·)` tasks read them back concurrently
-/// ([`Self::read`] — several same-step swaps may read at once, so the
-/// read path hands out shared references only). Writes happen-before all
-/// reads via the `Swap ← Panel` edges (the executor's pool lock carries
-/// the synchronization), and distinct panels own disjoint slots.
+/// Shared pivot vector: `PanelFinish(k)` writes its `jb` slots
+/// exclusively ([`Self::write`]), `Swap(k, ·)` tasks read them back
+/// concurrently ([`Self::read`] — several same-step swaps may read at
+/// once, so the read path hands out shared references only). Writes
+/// happen-before all reads via the `Swap ← PanelFinish` edges (the
+/// executor's pool lock carries the synchronization), and distinct panels
+/// own disjoint slots.
 struct SharedIpiv {
     ptr: *mut usize,
     len: usize,
@@ -135,7 +130,7 @@ unsafe impl Sync for SharedIpiv {}
 
 impl SharedIpiv {
     /// # Safety
-    /// Only the `Panel` task owning `range` may call this, and nothing
+    /// Only the `PanelFinish` task owning `range` may call this, and nothing
     /// else may access the range while the returned slice lives. (The
     /// `&self → &mut` shape is the whole point of the cell: the DAG, not
     /// the borrow checker, proves exclusivity.)
@@ -146,8 +141,8 @@ impl SharedIpiv {
     }
 
     /// # Safety
-    /// The caller's task must be DAG-ordered after the `Panel` that wrote
-    /// `range` (no writer may be live; concurrent readers are fine).
+    /// The caller's task must be DAG-ordered after the `PanelFinish` that
+    /// wrote `range` (no writer may be live; concurrent readers are fine).
     unsafe fn read(&self, range: std::ops::Range<usize>) -> &[usize] {
         debug_assert!(range.end <= self.len);
         unsafe { std::slice::from_raw_parts(self.ptr.add(range.start), range.len()) }
@@ -157,7 +152,7 @@ impl SharedIpiv {
     /// both the flat and the tile runner use in their `Swap` tasks.
     ///
     /// # Safety
-    /// The caller's task must be DAG-ordered after `Panel(k)`.
+    /// The caller's task must be DAG-ordered after `PanelFinish(k)`.
     unsafe fn read_local(&self, shape: &LuShape, k: usize) -> Vec<usize> {
         let base = k * shape.nb;
         let jb = shape.panel_width(k);
@@ -165,10 +160,11 @@ impl SharedIpiv {
     }
 
     /// Publishes a panel's elected pivots (local to the panel) into their
-    /// absolute slots — the write-back both runners' `Panel` tasks use.
+    /// absolute slots — the write-back both runners' `PanelFinish` tasks
+    /// use.
     ///
     /// # Safety
-    /// Only the `Panel` task owning the slots at `base` may call this.
+    /// Only the `PanelFinish` task owning the slots at `base` may call this.
     unsafe fn publish(&self, base: usize, local: &[usize]) {
         let slots = unsafe { self.write(base..base + local.len()) };
         for (slot, &p) in slots.iter_mut().zip(local) {
@@ -205,15 +201,15 @@ impl<T: Scalar, O: PivotObserver<T> + Send> PivotObserver<T> for MutexObs<'_, '_
     }
 }
 
-/// Per-step candidate-slot store of the resident panel subgraph
-/// ([`PanelMode::Resident`]): one slot per tournament-tree node (leaves
-/// included), written exactly once by the node's `PanelElect`/`PanelReduce`
-/// task and taken exactly once by its parent (or by `PanelFinish` at the
-/// root). The tree edges order every write before its read; the per-slot
-/// mutex only publishes the memory across workers — it is never contended
-/// beyond that handoff. Slot placement uses the same
-/// [`panel_tree_resolve`] the DAG builder uses for edge endpoints, so both
-/// sides agree on where each subtree's winners live.
+/// Per-step candidate-slot store of the panel subgraph: one slot per
+/// tournament-tree node (leaves included), written exactly once by the
+/// node's `PanelElect`/`PanelReduce` task and taken exactly once by its
+/// parent (or by `PanelFinish` at the root). The tree edges order every
+/// write before its read; the per-slot mutex only publishes the memory
+/// across workers — it is never contended beyond that handoff. Slot
+/// placement uses the same [`panel_tree_resolve`] the DAG builder uses for
+/// edge endpoints, so both sides agree on where each subtree's winners
+/// live.
 struct ResidentPanels<T> {
     steps: Vec<StepSlots<T>>,
 }
@@ -263,53 +259,20 @@ impl<T: Scalar> ResidentPanels<T> {
             .expect("candidate produced by a DAG-ordered predecessor")
     }
 
-    fn root_level(&self, k: usize) -> usize {
-        self.steps[k].offsets.len() - 1
+    /// `PanelReduce(k, level, ti, ·)` body shared by both runners: folds
+    /// the node's two child subtrees, lower tiles first.
+    fn reduce(&self, k: usize, level: usize, ti: usize) {
+        let i = (ti - k) >> level;
+        let lo = self.take(k, level - 1, 2 * i);
+        let hi = self.take(k, level - 1, 2 * i + 1);
+        self.put(k, level, i, reduce_pair(&lo, &hi));
     }
-}
 
-/// `PanelElect` body shared by both runners: tournament election on one
-/// tile's rows of the panel. Only the `≤ nb × jb` election copy intrinsic
-/// to tournament pivoting is made — the resident tile itself is read in
-/// place and left untouched. `r0` is the tile's first row, panel-local,
-/// so the elected `Candidates::rows` are panel-local row ids the reduce
-/// tree can fold directly.
-fn elect_resident<T: Scalar>(block: MatView<'_, T>, r0: usize, local: LocalLu) -> Candidates<T> {
-    let rows: Vec<usize> = (r0..r0 + block.rows()).collect();
-    local_candidates(&block.to_matrix(), &rows, local)
-}
-
-/// `PanelApply` body shared by both runners: forms one tile's rows of the
-/// panel's `L₂₁` in place against the finished `U₁₁`. For each panel
-/// column `j` it scales the tile's column by `1/u_jj` and rank-1-updates
-/// the columns right of it — exactly the restriction of `lu_nopiv`'s
-/// per-column `scal`+`ger` sweep to rows lying entirely below the
-/// diagonal block, in the same column order with the same kernels, so for
-/// a given pivot sequence the tile holds bitwise the values a full-height
-/// panel elimination would have produced (column `j`'s update of a row
-/// below the diagonal depends only on that row and `U₁₁`, never on other
-/// trailing rows).
-fn apply_l21<T: Scalar, O: PivotObserver<T>>(
-    u11: MatView<'_, T>,
-    mut tile: MatViewMut<'_, T>,
-    obs: &mut O,
-) {
-    let jb = u11.cols();
-    debug_assert_eq!(tile.cols(), jb);
-    let mut urow = vec![T::ZERO; jb.saturating_sub(1)];
-    for j in 0..jb {
-        let inv = u11.get(j, j).recip();
-        scal(inv, tile.col_mut(j));
-        obs.on_multipliers(tile.col(j));
-        let width = jb - j - 1;
-        if width > 0 {
-            for (c, u) in urow[..width].iter_mut().enumerate() {
-                *u = u11.get(j, j + 1 + c);
-            }
-            let (left, mut right) = tile.rb_mut().split_at_col_mut(j + 1);
-            ger(-T::ONE, left.col(j), &urow[..width], right.rb_mut());
-            obs.on_stage(&right.as_view());
-        }
+    /// Takes step `k`'s tournament winners as a swap sequence local to the
+    /// panel's `rows` rows — the head of both runners' `PanelFinish`.
+    fn winners(&self, k: usize, rows: usize) -> Vec<usize> {
+        let root = self.take(k, self.steps[k].offsets.len() - 1, 0);
+        winners_to_ipiv(&root.rows, rows)
     }
 }
 
@@ -319,10 +282,7 @@ struct LuRunner<'a, T, O> {
     ipiv: SharedIpiv,
     shape: LuShape,
     opts: CaluOpts,
-    parallel_panel: bool,
-    /// Candidate store of the resident panel subgraph
-    /// (`Some` iff `opts.panel_mode == PanelMode::Resident`).
-    resident: Option<ResidentPanels<T>>,
+    resident: ResidentPanels<T>,
     obs: Mutex<&'a mut O>,
 }
 
@@ -330,25 +290,6 @@ impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuRunner<'_, T, O> {
     fn run(&self, task: Task) -> Result<()> {
         let (m, nb) = (self.shape.m, self.shape.nb);
         match task {
-            Task::Panel { k } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                // SAFETY: Panel(k) is the exclusive owner of rows base..m
-                // of block column k (predecessors completed, successors
-                // blocked), and of its ipiv slots.
-                let panel = unsafe { self.mat.block(base, base, m - base, jb) };
-                let mut obs = MutexObs(&self.obs);
-                let r = tslu_factor_with(
-                    panel,
-                    self.opts.p,
-                    self.opts.local,
-                    self.parallel_panel,
-                    &mut obs,
-                )
-                .map_err(rebase_singular(base))?;
-                unsafe { self.ipiv.publish(base, &r.ipiv) };
-                Ok(())
-            }
             Task::PanelElect { k, ti } => {
                 let base = k * nb;
                 let jb = self.shape.panel_width(k);
@@ -358,24 +299,18 @@ impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuRunner<'_, T, O> {
                 // writer, PanelFinish, is DAG-ordered after it through the
                 // reduce tree).
                 let block = unsafe { self.mat.block(rows.start, base, rows.len(), jb) };
-                let cand = elect_resident(block.as_view(), rows.start - base, self.opts.local);
-                self.resident.as_ref().expect("resident store").put(k, 0, ti - k, cand);
+                let cand = elect_block(block.as_view(), rows.start - base, self.opts.local);
+                self.resident.put(k, 0, ti - k, cand);
                 Ok(())
             }
             Task::PanelReduce { k, level, ti, .. } => {
-                let store = self.resident.as_ref().expect("resident store");
-                let i = (ti - k) >> level;
-                let lo = store.take(k, level - 1, 2 * i);
-                let hi = store.take(k, level - 1, 2 * i + 1);
-                store.put(k, level, i, reduce_pair(&lo, &hi));
+                self.resident.reduce(k, level, ti);
                 Ok(())
             }
             Task::PanelFinish { k } => {
                 let base = k * nb;
                 let jb = self.shape.panel_width(k);
-                let store = self.resident.as_ref().expect("resident store");
-                let root = store.take(k, store.root_level(k), 0);
-                let local = winners_to_ipiv(&root.rows, m - base);
+                let local = self.resident.winners(k, m - base);
                 // Swap the tournament winners to the top of the panel's
                 // own block column (every elect is DAG-ordered before this
                 // task through the reduce tree, every later toucher after
@@ -456,10 +391,10 @@ impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuRunner<'_, T, O> {
 
 /// Shared-mutable handle to a [`TileMatrix`] being factored — the
 /// tile-major counterpart of [`SharedMat`]. Tasks carve views out of
-/// single tiles (every operand of `Trsm`/`Gemm` lives inside one tile,
-/// which is the point of the layout); only the cross-tile row swaps and
-/// the panel gather/scatter walk several tiles, and the DAG's edges
-/// order every overlapping pair of tasks.
+/// single tiles (every operand of `Trsm`/`Gemm` and of the panel
+/// subgraph's per-tile tasks lives inside one tile, which is the point of
+/// the layout); only the cross-tile row swaps walk several tiles, and the
+/// DAG's edges order every overlapping pair of tasks.
 struct SharedTiles<T> {
     ptr: *mut T,
     layout: TileLayout,
@@ -497,22 +432,25 @@ impl<T: Scalar> SharedTiles<T> {
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
     }
 
-    /// Swaps global rows `r1` and `r2` across the global column range
-    /// `cols`, crossing tile boundaries — the same element swaps a flat
-    /// `swap_rows` performs.
+    /// Applies a swap sequence local to rows `base..` (row `base + i` <->
+    /// row `base + local[i]`) across the global column range `cols`,
+    /// crossing tile boundaries — the same element swaps a flat
+    /// `apply_ipiv` performs.
     ///
     /// # Safety
-    /// The caller's task must own both rows over `cols` (DAG-ordered
+    /// The caller's task must own rows `base..` over `cols` (DAG-ordered
     /// against every other toucher).
-    unsafe fn swap_rows_in_cols(&self, r1: usize, r2: usize, cols: std::ops::Range<usize>) {
-        if r1 == r2 {
-            return;
-        }
-        for j in cols {
-            unsafe {
-                let a = self.ptr.add(self.layout.elem_offset(r1, j));
-                let b = self.ptr.add(self.layout.elem_offset(r2, j));
-                std::ptr::swap(a, b);
+    unsafe fn apply_ipiv(&self, base: usize, local: &[usize], cols: std::ops::Range<usize>) {
+        for (i, &p) in local.iter().enumerate() {
+            if p == i {
+                continue;
+            }
+            for j in cols.clone() {
+                unsafe {
+                    let a = self.ptr.add(self.layout.elem_offset(base + i, j));
+                    let b = self.ptr.add(self.layout.elem_offset(base + p, j));
+                    std::ptr::swap(a, b);
+                }
             }
         }
     }
@@ -520,101 +458,47 @@ impl<T: Scalar> SharedTiles<T> {
 
 /// Binds the LU kernels to runtime tasks over tile-major storage. The
 /// task set, DAG, and executors are exactly those of [`LuRunner`]; only
-/// operand addressing differs — `Trsm`/`Gemm` bodies read and write
-/// single contiguous tiles, and the panel gathers its column of tiles
-/// into a scratch panel (tile-major LU's explicit panel copy), factors
-/// it with the byte-identical sequential kernel, and scatters back.
+/// operand addressing differs — every task body except the row swaps
+/// reads and writes single contiguous tiles.
 struct LuTileRunner<'a, T, O> {
     tiles: SharedTiles<T>,
     ipiv: SharedIpiv,
     shape: LuShape,
     opts: CaluOpts,
-    parallel_panel: bool,
-    /// Candidate store of the resident panel subgraph
-    /// (`Some` iff `opts.panel_mode == PanelMode::Resident`).
-    resident: Option<ResidentPanels<T>>,
+    resident: ResidentPanels<T>,
     obs: Mutex<&'a mut O>,
 }
 
 impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuTileRunner<'_, T, O> {
     fn run(&self, task: Task) -> Result<()> {
         let (m, nb) = (self.shape.m, self.shape.nb);
-        let rb = self.shape.row_blocks();
         match task {
-            Task::Panel { k } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                // Gather the column of tiles into one contiguous scratch
-                // panel (lossless copies), run the byte-identical
-                // sequential TSLU on it, scatter back. The copies are the
-                // storage layout's explicit panel communication; the
-                // arithmetic is untouched, so factors stay bitwise equal.
-                let mut scratch = Matrix::<T>::zeros(m - base, jb);
-                for ti in k..rb {
-                    let h = self.shape.row_range(ti).len();
-                    // SAFETY: Panel(k) exclusively owns rows base..m of
-                    // block column k (and its ipiv slots).
-                    let src = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                    let r0 = ti * nb - base;
-                    scratch.view_mut().into_submatrix(r0, 0, h, jb).copy_from(src.as_view());
-                }
-                let mut obs = MutexObs(&self.obs);
-                let r = tslu_factor_with(
-                    scratch.view_mut(),
-                    self.opts.p,
-                    self.opts.local,
-                    self.parallel_panel,
-                    &mut obs,
-                )
-                .map_err(rebase_singular(base))?;
-                for ti in k..rb {
-                    let h = self.shape.row_range(ti).len();
-                    let mut dst = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                    let r0 = ti * nb - base;
-                    dst.copy_from(scratch.view().submatrix(r0, 0, h, jb));
-                }
-                unsafe { self.ipiv.publish(base, &r.ipiv) };
-                Ok(())
-            }
             Task::PanelElect { k, ti } => {
                 let base = k * nb;
                 let jb = self.shape.panel_width(k);
                 let h = self.shape.row_range(ti).len();
                 // SAFETY: reads its own resident tile's panel columns
                 // only; the next writer (PanelFinish's cross-tile swaps)
-                // is DAG-ordered after it through the reduce tree. No
-                // gather — this is the copy elision the mode is for.
+                // is DAG-ordered after it through the reduce tree.
                 let src = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                let cand = elect_resident(src.as_view(), ti * nb - base, self.opts.local);
-                self.resident.as_ref().expect("resident store").put(k, 0, ti - k, cand);
+                let cand = elect_block(src.as_view(), ti * nb - base, self.opts.local);
+                self.resident.put(k, 0, ti - k, cand);
                 Ok(())
             }
             Task::PanelReduce { k, level, ti, .. } => {
-                let store = self.resident.as_ref().expect("resident store");
-                let i = (ti - k) >> level;
-                let lo = store.take(k, level - 1, 2 * i);
-                let hi = store.take(k, level - 1, 2 * i + 1);
-                store.put(k, level, i, reduce_pair(&lo, &hi));
+                self.resident.reduce(k, level, ti);
                 Ok(())
             }
             Task::PanelFinish { k } => {
                 let base = k * nb;
                 let jb = self.shape.panel_width(k);
-                let store = self.resident.as_ref().expect("resident store");
-                let root = store.take(k, store.root_level(k), 0);
-                let local = winners_to_ipiv(&root.rows, m - base);
+                let local = self.resident.winners(k, m - base);
                 // Cross-tile winner swaps on the panel's own columns; the
                 // Swap tasks handle every other column.
                 // SAFETY: Finish exclusively owns rows base..m of block
                 // column k (all elects are ordered before it, all applies
                 // and swaps after) and the step's ipiv slots.
-                for (i, &p) in local.iter().enumerate() {
-                    if p != i {
-                        unsafe {
-                            self.tiles.swap_rows_in_cols(base + i, base + p, base..base + jb);
-                        }
-                    }
-                }
+                unsafe { self.tiles.apply_ipiv(base, &local, base..base + jb) };
                 let h = self.shape.row_range(k).len();
                 let diag = unsafe { self.tiles.tile_block(k, k, 0, 0, h, jb) };
                 let mut obs = MutexObs(&self.obs);
@@ -638,13 +522,7 @@ impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuTileRunner<'_, T, O
                 let local = unsafe { self.ipiv.read_local(&self.shape, k) };
                 let cols = self.shape.update_col_range(k, j);
                 // SAFETY: Swap(k,j) owns rows base..m of these columns.
-                for (i, &p) in local.iter().enumerate() {
-                    if p != i {
-                        unsafe {
-                            self.tiles.swap_rows_in_cols(base + i, base + p, cols.clone());
-                        }
-                    }
-                }
+                unsafe { self.tiles.apply_ipiv(base, &local, cols) };
                 Ok(())
             }
             Task::Trsm { k, j } => {
@@ -680,27 +558,14 @@ impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuTileRunner<'_, T, O
     }
 }
 
-/// Builds the resident-mode candidate store when the panel mode needs it.
-fn resident_store<T: Scalar>(mode: PanelMode, shape: &LuShape) -> Option<ResidentPanels<T>> {
-    match mode {
-        PanelMode::Gathered => None,
-        PanelMode::Resident => Some(ResidentPanels::new(shape)),
-    }
-}
-
-/// In-place CALU scheduled by the task-graph runtime; same numerical
-/// contract as [`calu_inplace`](crate::calu::calu_inplace) (factors and
-/// pivots bitwise identical at every lookahead depth and on both
-/// executors), plus an [`ExecReport`] of what actually ran where.
+/// In-place CALU scheduled by the task-graph runtime, plus an
+/// [`ExecReport`] of what actually ran where. Factors and pivots are
+/// bitwise identical to [`calu_inplace`](crate::calu::calu_inplace) with
+/// [`PanelMode::Resident`] at every lookahead depth and on both executors.
 ///
-/// Under [`PanelMode::Resident`] (`opts.panel_mode`) the bitwise contract
-/// changes referent: panels factor through the per-tile tournament
-/// subgraph — a *different but equally deterministic* tournament tree
-/// (tile-height leaves instead of `opts.p` row blocks) — so factors are
-/// bitwise reproducible across executors, lookahead depths, and runs, but
-/// are not bitwise equal to the gathered/sequential reference, and the
-/// observer's per-step pivot thresholds are measured within the diagonal
-/// tile rather than the full panel column.
+/// Panels always factor through the per-tile tournament subgraph, so
+/// `opts.panel_mode` and `opts.p` are ignored; the observer's per-step
+/// pivot thresholds are measured within the diagonal tile.
 ///
 /// The observer sees the same events as the sequential sweep; only their
 /// order differs (trailing-update stages arrive per tile, concurrent with
@@ -711,23 +576,24 @@ fn resident_store<T: Scalar>(mode: PanelMode, shape: &LuShape) -> Option<Residen
 /// # Errors
 /// [`Error::SingularPivot`] with the **absolute** elimination step; all
 /// tasks depending on the failed panel are canceled.
+///
+/// [`PanelMode::Resident`]: crate::calu::PanelMode::Resident
 pub fn runtime_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
     mut a: MatViewMut<'_, T>,
     opts: CaluOpts,
     rt: RuntimeOpts,
     obs: &mut O,
 ) -> Result<(Vec<usize>, ExecReport)> {
-    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
+    assert!(opts.block > 0, "block must be positive");
     let shape = LuShape { m: a.rows(), n: a.cols(), nb: opts.block };
     let mut ipiv = vec![0usize; shape.m.min(shape.n)];
-    let dag = LuDag::build_with(shape, rt.lookahead, opts.panel_mode);
+    let dag = LuDag::build(shape, rt.lookahead);
     let runner = LuRunner {
         mat: SharedMat::new(&mut a),
         ipiv: SharedIpiv { ptr: ipiv.as_mut_ptr(), len: ipiv.len() },
         shape,
         opts,
-        parallel_panel: rt.parallel_panel,
-        resident: resident_store(opts.panel_mode, &shape),
+        resident: ResidentPanels::new(&shape),
         obs: Mutex::new(obs),
     };
     let report = rt.executor.execute(&dag, &runner)?;
@@ -751,16 +617,16 @@ pub fn runtime_calu_factor<T: Scalar>(
 /// In-place CALU over **tile-major** storage, scheduled by the task-graph
 /// runtime: the same DAG, executors, priorities, and bitwise-vs-sequential
 /// guarantee as [`runtime_calu_inplace`], with operand addressing moved to
-/// cache-contained tiles — every `Trsm`/`Gemm` body touches single
-/// contiguous tiles of the [`TileMatrix`], row swaps cross tile boundaries
-/// element-for-element, and the panel gathers/scatters its tile column
-/// around the byte-identical sequential TSLU.
+/// cache-contained tiles — every task body except the row swaps touches
+/// single contiguous tiles of the [`TileMatrix`], and row swaps cross tile
+/// boundaries element-for-element.
 ///
 /// The tile dimensions must both equal `opts.block` (the DAG's block
 /// geometry *is* the storage geometry — that 1:1 mapping is the point of
 /// the layout). Converting the result back with
 /// [`TileMatrix::to_matrix`] yields factors bitwise identical to
-/// [`calu_inplace`](crate::calu::calu_inplace) on the flat copy.
+/// [`calu_inplace`](crate::calu::calu_inplace) with
+/// [`PanelMode::Resident`] on the flat copy.
 ///
 /// # Panics
 /// If `a`'s tile dimensions differ from `opts.block`.
@@ -768,13 +634,15 @@ pub fn runtime_calu_factor<T: Scalar>(
 /// # Errors
 /// [`Error::SingularPivot`] with the absolute elimination step; dependent
 /// tasks are canceled.
+///
+/// [`PanelMode::Resident`]: crate::calu::PanelMode::Resident
 pub fn runtime_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
     a: &mut TileMatrix<T>,
     opts: CaluOpts,
     rt: RuntimeOpts,
     obs: &mut O,
 ) -> Result<(Vec<usize>, ExecReport)> {
-    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
+    assert!(opts.block > 0, "block must be positive");
     let layout = a.layout();
     assert_eq!(
         (layout.mb(), layout.nb()),
@@ -783,14 +651,13 @@ pub fn runtime_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
     );
     let shape = LuShape { m: a.rows(), n: a.cols(), nb: opts.block };
     let mut ipiv = vec![0usize; shape.m.min(shape.n)];
-    let dag = LuDag::build_with(shape, rt.lookahead, opts.panel_mode);
+    let dag = LuDag::build(shape, rt.lookahead);
     let runner = LuTileRunner {
         tiles: SharedTiles::new(a),
         ipiv: SharedIpiv { ptr: ipiv.as_mut_ptr(), len: ipiv.len() },
         shape,
         opts,
-        parallel_panel: rt.parallel_panel,
-        resident: resident_store(opts.panel_mode, &shape),
+        resident: ResidentPanels::new(&shape),
         obs: Mutex::new(obs),
     };
     let report = rt.executor.execute(&dag, &runner)?;
@@ -815,7 +682,7 @@ pub fn runtime_calu_tiles_factor<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calu::calu_factor;
+    use crate::calu::{calu_factor, calu_inplace, PanelMode};
     use crate::instrument::PivotStats;
     use calu_matrix::gen;
     use rand::rngs::StdRng;
@@ -829,6 +696,11 @@ mod tests {
         ]
     }
 
+    /// The sequential oracle's options: the runtime's tile-leaf tree.
+    fn resident(block: usize, p: usize) -> CaluOpts {
+        CaluOpts { block, p, panel_mode: PanelMode::Resident, ..Default::default() }
+    }
+
     #[test]
     fn runtime_matches_sequential_bitwise_all_depths_and_executors() {
         let mut rng = StdRng::seed_from_u64(900);
@@ -840,11 +712,11 @@ mod tests {
             (97, 97, 16, 3),
         ] {
             let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, p, ..Default::default() };
+            let opts = resident(b, p);
             let seq = calu_factor(&a0, opts).unwrap();
             for depth in 1..=3 {
                 for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+                    let rt = RuntimeOpts { lookahead: depth, executor };
                     let (f, rep) = runtime_calu_factor(&a0, opts, rt).unwrap();
                     assert_eq!(seq.ipiv, f.ipiv, "{m}x{n} b={b} d={depth} {executor:?}");
                     assert_eq!(
@@ -869,11 +741,11 @@ mod tests {
             (97, 97, 16, 3), // ragged edge tiles in both dimensions
         ] {
             let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, p, ..Default::default() };
+            let opts = resident(b, p);
             let seq = calu_factor(&a0, opts).unwrap();
             for depth in 1..=3 {
                 for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+                    let rt = RuntimeOpts { lookahead: depth, executor };
                     let (tiles, ipiv, rep) = runtime_calu_tiles_factor(&a0, opts, rt).unwrap();
                     assert_eq!(seq.ipiv, ipiv, "{m}x{n} b={b} d={depth} {executor:?}");
                     assert_eq!(
@@ -892,11 +764,11 @@ mod tests {
     fn tile_runtime_observer_stats_match_sequential() {
         let mut rng = StdRng::seed_from_u64(906);
         let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, p: 4, ..Default::default() };
+        let opts = resident(24, 4);
 
         let mut s_seq = PivotStats::new(a0.max_abs());
         let mut w = a0.clone();
-        crate::calu::calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
+        calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
 
         let mut s_rt = PivotStats::new(a0.max_abs());
         let mut tiles = calu_matrix::TileMatrix::from_matrix(&a0, 24, 24);
@@ -918,7 +790,7 @@ mod tests {
         let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
         for depth in 1..=3 {
             for executor in executors() {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+                let rt = RuntimeOpts { lookahead: depth, executor };
                 let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
                 assert_eq!(
                     err,
@@ -942,11 +814,11 @@ mod tests {
     fn runtime_observer_stats_match_sequential() {
         let mut rng = StdRng::seed_from_u64(901);
         let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, p: 4, ..Default::default() };
+        let opts = resident(24, 4);
 
         let mut s_seq = PivotStats::new(a0.max_abs());
         let mut w = a0.clone();
-        crate::calu::calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
+        calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
 
         let mut s_rt = PivotStats::new(a0.max_abs());
         let mut w2 = a0.clone();
@@ -962,14 +834,15 @@ mod tests {
     #[test]
     fn runtime_singular_reports_absolute_step_and_cancels() {
         let n = 64;
-        // Rank 20: every flavor must fail at absolute step 20.
+        // Rank 20: the dead pivot surfaces inside PanelFinish's top-tile
+        // elimination and must come back as absolute step 20.
         let mut rng = StdRng::seed_from_u64(902);
         let b = gen::randn(&mut rng, n, 20);
         let a = Matrix::from_fn(n, n, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
         let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
         for depth in 1..=3 {
             for executor in executors() {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+                let rt = RuntimeOpts { lookahead: depth, executor };
                 let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
                 assert_eq!(
                     err,
@@ -984,13 +857,10 @@ mod tests {
     fn runtime_unthrottled_depth_still_exact() {
         let mut rng = StdRng::seed_from_u64(903);
         let a0: Matrix = gen::randn(&mut rng, 144, 144);
-        let opts = CaluOpts { block: 16, p: 4, ..Default::default() };
+        let opts = resident(16, 4);
         let seq = calu_factor(&a0, opts).unwrap();
-        let rt = RuntimeOpts {
-            lookahead: 1_000_000,
-            executor: ExecutorKind::Threaded { threads: 3 },
-            parallel_panel: true,
-        };
+        let rt =
+            RuntimeOpts { lookahead: 1_000_000, executor: ExecutorKind::Threaded { threads: 3 } };
         let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
         assert_eq!(seq.ipiv, f.ipiv);
         assert_eq!(seq.lu.max_abs_diff(&f.lu), 0.0);
@@ -1008,126 +878,29 @@ mod tests {
         assert!(!rep.traces().is_empty());
     }
 
-    /// `||P A - L U||_max` against a reconstruction — validity check for
-    /// resident-mode factors, which follow a *different* (tile-leaf)
-    /// tournament tree than the sequential reference.
-    fn check_plu(orig: &Matrix, lu: &Matrix, ipiv: &[usize], tol: f64) {
-        use calu_matrix::perm::{ipiv_to_perm, permute_rows};
-        let perm = ipiv_to_perm(ipiv, orig.rows());
-        let pa = permute_rows(orig, &perm);
-        let l = lu.unit_lower();
-        let u = lu.upper();
-        let mut prod = Matrix::zeros(orig.rows(), orig.cols());
-        gemm(1.0, l.view(), u.view(), 0.0, prod.view_mut());
-        let d = pa.max_abs_diff(&prod);
-        assert!(d < tol, "||P A - L U||_max = {d} > {tol}");
-    }
-
     #[test]
-    fn resident_runtime_bitwise_reproducible_and_correct() {
-        // The serial depth-1 flat run is the resident-mode reference; every
-        // executor x depth, on both the flat and tile paths, must reproduce
-        // it bitwise (the ISSUE contract: deterministic across schedules,
-        // not equal to the gathered tree).
+    fn runtime_ignores_panel_mode_and_p() {
         let mut rng = StdRng::seed_from_u64(910);
-        for &(m, n, b) in &[
-            (96usize, 96usize, 16usize),
-            (130, 130, 32),
-            (100, 60, 16),
-            (60, 100, 16),
-            (97, 97, 16), // ragged edge tiles in both dimensions
-        ] {
-            let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
-            let rt0 =
-                RuntimeOpts { lookahead: 1, executor: ExecutorKind::Serial, parallel_panel: false };
-            let (reference, _) = runtime_calu_factor(&a0, opts, rt0).unwrap();
-            check_plu(&a0, &reference.lu, &reference.ipiv, 1e-8 * m as f64);
-            for depth in 1..=3 {
-                for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                    let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(reference.ipiv, f.ipiv, "{m}x{n} b={b} d={depth} {executor:?}");
-                    assert_eq!(
-                        reference.lu.max_abs_diff(&f.lu),
-                        0.0,
-                        "{m}x{n} b={b} d={depth} {executor:?}: resident factors must be \
-                         bitwise identical across schedules"
-                    );
-                    let (tiles, ipiv, _) = runtime_calu_tiles_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(reference.ipiv, ipiv, "{m}x{n} b={b} d={depth} {executor:?} tiles");
-                    assert_eq!(
-                        reference.lu.max_abs_diff(&tiles.to_matrix()),
-                        0.0,
-                        "{m}x{n} b={b} d={depth} {executor:?}: tile-path resident factors \
-                         must match the flat path bitwise"
-                    );
-                }
-            }
-        }
+        let a0: Matrix = gen::randn(&mut rng, 97, 97);
+        let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Serial };
+        let (want, _) = runtime_calu_factor(&a0, resident(16, 4), rt).unwrap();
+        let gathered = CaluOpts { block: 16, p: 3, ..Default::default() };
+        let (f, _) = runtime_calu_factor(&a0, gathered, rt).unwrap();
+        assert_eq!(want.ipiv, f.ipiv);
+        assert_eq!(want.lu.max_abs_diff(&f.lu), 0.0);
     }
 
     #[test]
-    fn resident_runtime_run_to_run_deterministic() {
+    fn runtime_run_to_run_deterministic() {
         let mut rng = StdRng::seed_from_u64(911);
         let a0: Matrix = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, panel_mode: PanelMode::Resident, ..Default::default() };
-        let rt = RuntimeOpts {
-            lookahead: 2,
-            executor: ExecutorKind::Threaded { threads: 4 },
-            parallel_panel: false,
-        };
+        let opts = CaluOpts { block: 24, ..Default::default() };
+        let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 4 } };
         let (f1, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
         for _ in 0..3 {
             let (f2, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
             assert_eq!(f1.ipiv, f2.ipiv);
             assert_eq!(f1.lu.max_abs_diff(&f2.lu), 0.0, "run-to-run determinism");
         }
-    }
-
-    #[test]
-    fn resident_singular_reports_absolute_step_and_cancels() {
-        let n = 64;
-        // Rank 20: the failure surfaces inside PanelFinish's diagonal-tile
-        // elimination, and must be rebased to the same absolute step the
-        // gathered panel reports — on both runner paths, every schedule.
-        let mut rng = StdRng::seed_from_u64(912);
-        let b = gen::randn(&mut rng, n, 20);
-        let a = Matrix::from_fn(n, n, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
-        let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
-        for depth in 1..=3 {
-            for executor in executors() {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::SingularPivot { step: 20 },
-                    "flat d={depth} {executor:?}: absolute step"
-                );
-                let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::SingularPivot { step: 20 },
-                    "tiles d={depth} {executor:?}: absolute step"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn resident_runtime_observer_sees_every_step() {
-        // Resident-mode pivot thresholds are measured within the diagonal
-        // tile (documented), so the stats are not compared to the gathered
-        // sweep — but every elimination step must still be observed once.
-        let mut rng = StdRng::seed_from_u64(913);
-        let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, panel_mode: PanelMode::Resident, ..Default::default() };
-        let mut stats = PivotStats::new(a0.max_abs());
-        let mut w = a0.clone();
-        let rt = RuntimeOpts { lookahead: 2, ..Default::default() };
-        runtime_calu_inplace(w.view_mut(), opts, rt, &mut stats).unwrap();
-        assert_eq!(stats.steps(), 120);
-        assert!(stats.tau_min() > 0.0);
-        assert!(stats.growth_factor(1.0) >= 1.0);
     }
 }

@@ -660,13 +660,20 @@ pub fn runtime_solve_mat<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calu::PanelMode;
     use calu_matrix::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn opts_with(executor: ExecutorKind) -> ServeOpts {
         ServeOpts {
-            calu: CaluOpts { block: 16, p: 4, ..Default::default() },
+            // The sequential oracle of the runtime's factors.
+            calu: CaluOpts {
+                block: 16,
+                p: 4,
+                panel_mode: PanelMode::Resident,
+                ..Default::default()
+            },
             rt: RuntimeOpts { executor, ..Default::default() },
             rhs_block: 4,
             ..Default::default()
@@ -710,9 +717,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(901);
             let n = 60;
             let a: Matrix<f64> = gen::randn(&mut rng, n, n);
-            let f =
-                crate::calu::calu_factor(&a, CaluOpts { block: 16, p: 4, ..Default::default() })
-                    .unwrap();
+            let f = crate::calu::calu_factor(&a, opts_with(executor).calu).unwrap();
             let mut svc = SolverService::new(opts_with(executor));
             svc.register(7, a);
             let rhs: Vec<Vec<f64>> = (0..13)
@@ -771,8 +776,7 @@ mod tests {
         opts.cache_capacity_bytes = 0;
         let mut svc = SolverService::new(opts);
         let a: Matrix<f64> = gen::randn(&mut rng, n, n);
-        let f = crate::calu::calu_factor(&a, CaluOpts { block: 16, p: 4, ..Default::default() })
-            .unwrap();
+        let f = crate::calu::calu_factor(&a, opts_with(ExecutorKind::Serial).calu).unwrap();
         svc.register(1, a);
         for _ in 0..2 {
             let rhs = vec![1.5; n];

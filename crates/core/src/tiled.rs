@@ -4,14 +4,12 @@
 //! The paper's future-work section (Section 7) asks about "the suitability
 //! of the new ca-pivoting strategy for parallel LU on multicore
 //! architectures"; the HPL benchmark it wants to adopt ca-pivoting uses a
-//! *look-ahead* schedule. Historically this module hardwired a depth-1
-//! lookahead around one `rayon::join`; it now builds the dependency DAG
-//! (`Panel`/`Swap`/`Trsm`/`Gemm` tasks) and hands it to the runtime's
-//! work-stealing executor with lookahead depth 1, which reproduces the
-//! same schedule — while the bulk of the trailing matrix is still being
-//! updated for panel `k`, the *next* panel's slice is updated first and
-//! its TSLU runs concurrently, hiding the critical path behind the
-//! `gemm` — and generalizes it (see [`crate::rt`] for deeper lookahead).
+//! *look-ahead* schedule. This module hands the dependency DAG to the
+//! runtime's work-stealing executor with lookahead depth 1: while the
+//! bulk of the trailing matrix is still being updated for panel `k`, the
+//! *next* panel's tiles are updated first and its tournament runs
+//! concurrently, hiding the critical path behind the `gemm` (see
+//! [`crate::rt`] for deeper lookahead).
 //!
 //! Correctness hinges on one commutation: panel `k+1` elects its pivots
 //! *before* the rest of the trailing matrix has them applied; applying
@@ -19,8 +17,10 @@
 //! permuted block, because the update `A22 -= L21·U12` touches rows
 //! independently. In DAG form that is the anti-dependence edge from every
 //! `Gemm(k, ·, ·)` to the first left-`Swap` of column `k`. The factors
-//! are **bitwise identical** to sequential CALU (same tournament tree,
-//! same per-column accumulation order), which the tests assert.
+//! are **bitwise identical** to sequential CALU with
+//! [`PanelMode::Resident`](crate::calu::PanelMode::Resident) (same
+//! tournament tree, same per-column accumulation order), which the tests
+//! assert.
 
 use crate::calu::{CaluOpts, LuFactors};
 use crate::rt::{runtime_calu_inplace, runtime_calu_tiles, RuntimeOpts};
@@ -38,7 +38,9 @@ pub fn tiled_calu_factor<T: Scalar>(a: &Matrix<T>, opts: CaluOpts) -> Result<LuF
 }
 
 /// In-place lookahead-tiled CALU; same contract as
-/// [`calu_inplace`](crate::calu::calu_inplace) (the observer's recorded
+/// [`calu_inplace`](crate::calu::calu_inplace) with
+/// [`PanelMode::Resident`](crate::calu::PanelMode::Resident), whatever
+/// `opts.panel_mode` says (the observer's recorded
 /// statistics are identical, though events for panel `k+1` may precede the
 /// `on_stage` for panel `k`'s bulk update — [`crate::instrument::PivotStats`]
 /// is order-free).
@@ -51,11 +53,7 @@ pub fn tiled_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
     opts: CaluOpts,
     obs: &mut O,
 ) -> Result<Vec<usize>> {
-    let rt = RuntimeOpts {
-        lookahead: 1,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } };
     let (ipiv, _report) = runtime_calu_inplace(a, opts, rt, obs)?;
     Ok(ipiv)
 }
@@ -66,7 +64,8 @@ pub fn tiled_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
 /// strided slices of a flat matrix (see
 /// [`runtime_calu_tiles`] for the full
 /// engine with executor/depth control). Factors convert back bitwise
-/// identical to [`calu_inplace`](crate::calu::calu_inplace).
+/// identical to [`calu_inplace`](crate::calu::calu_inplace) with
+/// [`PanelMode::Resident`](crate::calu::PanelMode::Resident).
 ///
 /// # Panics
 /// If `a`'s tile dimensions differ from `opts.block`.
@@ -79,11 +78,7 @@ pub fn tiled_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
     opts: CaluOpts,
     obs: &mut O,
 ) -> Result<Vec<usize>> {
-    let rt = RuntimeOpts {
-        lookahead: 1,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } };
     let (ipiv, _report) = runtime_calu_tiles(a, opts, rt, obs)?;
     Ok(ipiv)
 }
@@ -91,7 +86,7 @@ pub fn tiled_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calu::calu_factor;
+    use crate::calu::{calu_factor, PanelMode};
     use crate::instrument::PivotStats;
     use calu_matrix::{gen, Error};
     use rand::rngs::StdRng;
@@ -109,7 +104,8 @@ mod tests {
             (97, 97, 16, 3), // ragged tiles
         ] {
             let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, p, ..Default::default() };
+            let opts =
+                CaluOpts { block: b, p, panel_mode: PanelMode::Resident, ..Default::default() };
             let seq = calu_factor(&a0, opts).unwrap();
             let tiled = tiled_calu_factor(&a0, opts).unwrap();
             assert_eq!(seq.ipiv, tiled.ipiv, "{m}x{n} b={b} p={p}");
@@ -128,7 +124,8 @@ mod tests {
             &[(96usize, 96usize, 16usize, 4usize), (97, 97, 16, 3), (60, 100, 16, 4)]
         {
             let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, p, ..Default::default() };
+            let opts =
+                CaluOpts { block: b, p, panel_mode: PanelMode::Resident, ..Default::default() };
             let seq = calu_factor(&a0, opts).unwrap();
             let mut tiles = TileMatrix::from_matrix(&a0, b, b);
             let ipiv = tiled_calu_tiles(&mut tiles, opts, &mut NoObs).unwrap();
@@ -141,7 +138,8 @@ mod tests {
     fn tiled_observer_stats_match_sequential() {
         let mut rng = StdRng::seed_from_u64(132);
         let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, p: 4, ..Default::default() };
+        let opts =
+            CaluOpts { block: 24, p: 4, panel_mode: PanelMode::Resident, ..Default::default() };
 
         let mut s_seq = PivotStats::new(a0.max_abs());
         let mut w = a0.clone();
@@ -189,7 +187,8 @@ mod tests {
     fn tiled_block_bigger_than_matrix() {
         let mut rng = StdRng::seed_from_u64(134);
         let a0: Matrix = gen::randn(&mut rng, 40, 40);
-        let opts = CaluOpts { block: 64, p: 4, ..Default::default() };
+        let opts =
+            CaluOpts { block: 64, p: 4, panel_mode: PanelMode::Resident, ..Default::default() };
         let seq = calu_factor(&a0, opts).unwrap();
         let tiled = tiled_calu_factor(&a0, opts).unwrap();
         assert_eq!(seq.ipiv, tiled.ipiv);

@@ -11,8 +11,13 @@
 //!
 //! With `p == 1` or `b == 1` this is exactly partial pivoting (paper
 //! Section 2), which the tests assert.
+//!
+//! `tslu_factor_tiles` runs the same two phases with one block row per
+//! `nb`-high tile and a pairwise tree — the task-graph runtime's panel.
 
-use crate::tournament::{tournament, Candidates};
+use crate::tournament::{reduce_pair, tournament, Candidates};
+use calu_matrix::blas1::scal;
+use calu_matrix::blas2::ger;
 use calu_matrix::lapack::{getf2, lu_nopiv, rgetf2_info};
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{MatView, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar};
@@ -62,35 +67,27 @@ pub fn partition_rows(m: usize, p: usize) -> Vec<std::ops::Range<usize>> {
 ///
 /// Never fails — see [`Candidates::from_block_row`] on rank deficiency.
 pub fn tslu_pivots<T: Scalar>(panel: MatView<'_, T>, p: usize, local: LocalLu) -> Vec<usize> {
-    tslu_pivots_with(panel, p, local, false)
-}
-
-/// [`tslu_pivots`] with optional rayon parallelism across the block-rows'
-/// local factorizations (the shared-memory "multicore" direction named in
-/// the paper's future work). The elected pivots are bitwise identical to
-/// the sequential path — only wall-clock changes.
-pub fn tslu_pivots_with<T: Scalar>(
-    panel: MatView<'_, T>,
-    p: usize,
-    local: LocalLu,
-    parallel: bool,
-) -> Vec<usize> {
     let (m, b) = (panel.rows(), panel.cols());
     assert!(m >= 1 && b >= 1, "empty panel");
-
-    let parts = partition_rows(m, p);
-    let elect = |range: &std::ops::Range<usize>| -> Candidates<T> {
-        let rows: Vec<usize> = range.clone().collect();
-        let block = panel.submatrix(range.start, 0, range.len(), b).to_matrix();
-        local_candidates(&block, &rows, local)
-    };
-    let blocks: Vec<Candidates<T>> = if parallel && parts.len() > 1 {
-        use rayon::prelude::*;
-        parts.par_iter().map(elect).collect()
-    } else {
-        parts.iter().map(elect).collect()
-    };
+    let blocks = partition_rows(m, p)
+        .into_iter()
+        .map(|range| {
+            elect_block(panel.submatrix(range.start, 0, range.len(), b), range.start, local)
+        })
+        .collect();
     tournament(blocks).rows
+}
+
+/// Elects one block row's candidates: `block` holds rows `r0..` of the
+/// panel, so the elected [`Candidates::rows`] are panel-local row ids.
+/// The election works on a copy; `block` itself is only read.
+pub(crate) fn elect_block<T: Scalar>(
+    block: MatView<'_, T>,
+    r0: usize,
+    local: LocalLu,
+) -> Candidates<T> {
+    let rows: Vec<usize> = (r0..r0 + block.rows()).collect();
+    local_candidates(&block.to_matrix(), &rows, local)
 }
 
 /// Elects candidates from one block-row with the chosen local LU.
@@ -162,33 +159,102 @@ pub fn winners_to_ipiv(winners: &[usize], m: usize) -> Vec<usize> {
 /// A zero pivot in the no-pivot factorization after permutation (the panel
 /// columns are genuinely linearly dependent).
 pub fn tslu_factor<T: Scalar, O: PivotObserver<T>>(
-    panel: MatViewMut<'_, T>,
-    p: usize,
-    local: LocalLu,
-    obs: &mut O,
-) -> Result<TsluResult> {
-    tslu_factor_with(panel, p, local, false, obs)
-}
-
-/// [`tslu_factor`] with optional rayon parallelism in the candidate
-/// election (see [`tslu_pivots_with`]).
-///
-/// # Errors
-/// A zero pivot in the no-pivot factorization after permutation (the panel
-/// columns are genuinely linearly dependent).
-pub fn tslu_factor_with<T: Scalar, O: PivotObserver<T>>(
     mut panel: MatViewMut<'_, T>,
     p: usize,
     local: LocalLu,
-    parallel: bool,
     obs: &mut O,
 ) -> Result<TsluResult> {
     let m = panel.rows();
-    let winners = tslu_pivots_with(panel.as_view(), p, local, parallel);
+    let winners = tslu_pivots(panel.as_view(), p, local);
     let ipiv = winners_to_ipiv(&winners, m);
     apply_ipiv(panel.rb_mut(), &ipiv);
     lu_nopiv(panel, obs)?;
     Ok(TsluResult { ipiv, pivot_rows: winners })
+}
+
+/// TSLU over tile leaves — the panel of
+/// [`PanelMode::Resident`](crate::calu::PanelMode::Resident), written as
+/// the sequence of task bodies the runtime's panel subgraph runs:
+///
+/// 1. elect one candidate set per `nb`-high tile (`PanelElect`);
+/// 2. fold them pairwise level by level, lower tile first, an odd tail
+///    passing through to the next level (`PanelReduce`, the tree of
+///    [`panel_tree_levels`](calu_runtime::panel_tree_levels));
+/// 3. swap the winners on top and factor the top tile without pivoting
+///    (`PanelFinish`);
+/// 4. form each lower tile's `L₂₁` rows in place (`PanelApply`).
+///
+/// Returns the panel-local swap sequence. The observer sees the top tile's
+/// elimination and every tile's multipliers.
+///
+/// # Errors
+/// A zero pivot in the top tile's no-pivot factorization.
+pub(crate) fn tslu_factor_tiles<T: Scalar, O: PivotObserver<T>>(
+    mut panel: MatViewMut<'_, T>,
+    nb: usize,
+    local: LocalLu,
+    obs: &mut O,
+) -> Result<Vec<usize>> {
+    let (m, jb) = (panel.rows(), panel.cols());
+    assert!(m >= 1 && jb >= 1 && nb >= 1, "empty panel or tile");
+    let mut level: Vec<Candidates<T>> = (0..m)
+        .step_by(nb)
+        .map(|r0| elect_block(panel.as_view().submatrix(r0, 0, nb.min(m - r0), jb), r0, local))
+        .collect();
+    while level.len() > 1 {
+        let mut nodes = level.into_iter();
+        let mut next = Vec::new();
+        while let Some(lo) = nodes.next() {
+            next.push(match nodes.next() {
+                Some(hi) => reduce_pair(&lo, &hi),
+                None => lo,
+            });
+        }
+        level = next;
+    }
+    let ipiv = winners_to_ipiv(&level[0].rows, m);
+    apply_ipiv(panel.rb_mut(), &ipiv);
+    let (mut diag, mut below) = panel.split_at_row_mut(nb.min(m));
+    lu_nopiv(diag.rb_mut(), obs)?;
+    let u11 = diag.as_view().submatrix(0, 0, jb, jb);
+    for r0 in (0..below.rows()).step_by(nb) {
+        let h = nb.min(below.rows() - r0);
+        apply_l21(u11, below.rb_mut().into_submatrix(r0, 0, h, jb), obs);
+    }
+    Ok(ipiv)
+}
+
+/// Forms one tile's rows of a panel's `L₂₁` in place against the finished
+/// `U₁₁`. For each panel column `j` it scales the tile's column by
+/// `1/u_jj` and rank-1-updates the columns right of it — exactly the
+/// restriction of `lu_nopiv`'s per-column `scal`+`ger` sweep to rows lying
+/// entirely below the diagonal block, in the same column order with the
+/// same kernels, so for a given pivot sequence the tile holds bitwise the
+/// values a full-height panel elimination would have produced (column
+/// `j`'s update of a row below the diagonal depends only on that row and
+/// `U₁₁`, never on other trailing rows).
+pub(crate) fn apply_l21<T: Scalar, O: PivotObserver<T>>(
+    u11: MatView<'_, T>,
+    mut tile: MatViewMut<'_, T>,
+    obs: &mut O,
+) {
+    let jb = u11.cols();
+    debug_assert_eq!(tile.cols(), jb);
+    let mut urow = vec![T::ZERO; jb.saturating_sub(1)];
+    for j in 0..jb {
+        let inv = u11.get(j, j).recip();
+        scal(inv, tile.col_mut(j));
+        obs.on_multipliers(tile.col(j));
+        let width = jb - j - 1;
+        if width > 0 {
+            for (c, u) in urow[..width].iter_mut().enumerate() {
+                *u = u11.get(j, j + 1 + c);
+            }
+            let (left, mut right) = tile.rb_mut().split_at_col_mut(j + 1);
+            ger(-T::ONE, left.col(j), &urow[..width], right.rb_mut());
+            obs.on_stage(&right.as_view());
+        }
+    }
 }
 
 /// Reference GEPP panel factorization with identical output conventions

@@ -324,56 +324,6 @@ pub fn intersection_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
     total
 }
 
-/// **Phase wait**: total worker idle time that overlaps a phase of
-/// interest — e.g. how long lanes sit empty *while some lane is inside a
-/// panel task*, the quantity the tile-resident panel decomposition exists
-/// to shrink.
-///
-/// For each `(pid, tid)` lane, idle is the complement of the lane's span
-/// union within `[0, wall]` (`wall` = `max(wall_ns, latest span end)`);
-/// the returned value sums, across lanes, the overlap of that idle set
-/// with the union of spans whose category satisfies `is_phase`. Queue
-/// delay is *not* subtracted here — this is the coarse "lanes had nothing
-/// to do during the phase" measure, an upper bound on schedulable loss;
-/// the exact per-lane partition stays [`Profile::build`]'s job.
-pub fn idle_overlap_ns(
-    spans: &[Span],
-    mut is_phase: impl FnMut(&str) -> bool,
-    wall_ns: u64,
-) -> u64 {
-    let mut phase: Vec<(u64, u64)> = Vec::new();
-    let mut lanes: BTreeMap<(u32, u32), Vec<(u64, u64)>> = BTreeMap::new();
-    let mut wall = wall_ns;
-    for s in spans {
-        let iv = span_interval_ns(s);
-        wall = wall.max(iv.1);
-        if is_phase(s.cat) {
-            phase.push(iv);
-        }
-        lanes.entry((s.pid, s.tid)).or_default().push(iv);
-    }
-    let phase = merge_intervals(&phase);
-    lanes
-        .values()
-        .map(|ivs| {
-            let busy = merge_intervals(ivs);
-            // Complement of busy within [0, wall].
-            let mut idle = Vec::with_capacity(busy.len() + 1);
-            let mut cursor = 0u64;
-            for &(s, e) in &busy {
-                if s > cursor {
-                    idle.push((cursor, s));
-                }
-                cursor = cursor.max(e);
-            }
-            if wall > cursor {
-                idle.push((cursor, wall));
-            }
-            intersection_ns(&idle, &phase)
-        })
-        .sum()
-}
-
 /// Measured nanoseconds per phase (span category), sorted by phase name.
 /// Spans with an empty category (e.g. parsed Chrome traces, which do not
 /// preserve categories) are skipped.
@@ -549,23 +499,6 @@ mod tests {
         assert_eq!(intersection_ns(&[(0, 20), (30, 50)], &[(10, 35)]), 10 + 5);
         assert_eq!(intersection_ns(&[(0, 10)], &[(10, 20)]), 0, "touching is not overlap");
         assert_eq!(intersection_ns(&[], &[(0, 10)]), 0);
-    }
-
-    #[test]
-    fn idle_overlap_measures_waiting_during_a_phase() {
-        // Lane (0,0) runs a panel span [0,40); lane (0,1) runs a gemm
-        // [10,20) and is otherwise idle. Idle-during-panel for (0,1) is
-        // [0,10) + [20,40) = 30us; lane (0,0) is never idle inside it.
-        let mut panel = span(0, 0, 0.0, 40.0);
-        panel.cat = "panel_finish";
-        let spans = vec![panel, span(0, 1, 10.0, 10.0)];
-        let wait = idle_overlap_ns(&spans, |c| c.starts_with("panel"), 100_000);
-        // Lane (0,1): 30us inside the panel window. Lane (0,0): 0.
-        assert_eq!(wait, 30_000);
-        // No phase spans -> no wait, regardless of idle time.
-        assert_eq!(idle_overlap_ns(&spans, |c| c == "nope", 100_000), 0);
-        // Wall extends to the latest span end even if wall_ns is smaller.
-        assert_eq!(idle_overlap_ns(&spans, |c| c.starts_with("panel"), 0), 30_000);
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use analyze::{
-    idle_overlap_ns, intersection_ns, merge_intervals, PhaseRatio, Profile, ProfileInputs,
-    WorkerProfile,
+    intersection_ns, merge_intervals, PhaseRatio, Profile, ProfileInputs, WorkerProfile,
 };
 pub use json::JsonValue;
 pub use ledger::{CommCounts, CommDelta, CommLedger, CommLedgerReport, CommRow, CommTerm, WaitRow};

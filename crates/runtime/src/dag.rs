@@ -1,10 +1,16 @@
 //! The task DAG of blocked right-looking LU.
 //!
 //! [`LuDag::build`] emits, for any `(m, n, nb)`, the dependency graph of
-//! the four task kinds of a right-looking blocked factorization:
+//! a right-looking blocked factorization with a tile-resident tournament
+//! panel:
 //!
-//! * [`Task::Panel`]`(k)` — TSLU tournament factorization of the full-height
-//!   panel (rows `k·nb..m`, the panel's own pivot swaps included);
+//! * [`Task::PanelElect`]`(k, ti)` — elect tile `(ti, k)`'s candidate
+//!   pivot rows (one tournament leaf per `nb`-high tile of the panel);
+//! * [`Task::PanelReduce`] — fold two subtrees' candidate sets up a
+//!   deterministic binary tree ([`panel_tree_levels`]);
+//! * [`Task::PanelFinish`]`(k)` — swap the winners on top of the panel's
+//!   block column and factor its diagonal tile (`L₁₁\U₁₁`);
+//! * [`Task::PanelApply`]`(k, ti)` — form tile `(ti, k)`'s `L₂₁` rows;
 //! * [`Task::Swap`]`(k, j)` — apply panel `k`'s pivot sequence to block
 //!   column `j ≠ k` (rows `k·nb..m`);
 //! * [`Task::Trsm`]`(k, j)` — `U₁₂ = L₁₁⁻¹ A₁₂` on block column `j > k`;
@@ -12,35 +18,25 @@
 //!   trailing tile at block row `i`, block column `j`.
 //!
 //! The edge set encodes exactly the data flow of the *sequential* sweep
-//! (`calu_inplace`), including the two orderings that are easy to miss:
+//! (`calu_inplace` with the tile-leaf panel tree), including the two
+//! orderings that are easy to miss:
 //!
 //! * **anti-dependence on `L`**: `Swap(k+1, k)` permutes rows of column
-//!   block `k`, which every `Gemm(k, ·, ·)` still reads as `L₂₁` — so the
-//!   first left-swap of a column waits for *all* of that step's `gemm`s
-//!   (this is the same commutation `tiled.rs` used: swaps are deferred
-//!   until the updates that read the unswapped `L` have finished);
-//! * **lookahead throttle**: with lookahead depth `d`, `Panel(k)` carries
-//!   edges from every task of step `k − d − 1`, so panels run at most `d`
-//!   steps ahead of the slowest trailing update. Depth 1 reproduces the
-//!   HPL-style schedule of the old hardwired implementation; larger depths
-//!   let `Panel(k+2), Panel(k+3), …` start while step `k`'s bulk `gemm`s
-//!   drag on.
+//!   block `k`, which every `Gemm(k, ·, ·)` still reads as `L₂₁` and every
+//!   `PanelApply(k, ·)` writes — so the first left-swap of a column waits
+//!   for *all* of them (swaps are deferred until the updates that read the
+//!   unswapped `L` have finished);
+//! * **lookahead throttle**: with lookahead depth `d`, the elects of step
+//!   `k` carry edges from every task of step `k − d − 1`, so panels run at
+//!   most `d` steps ahead of the slowest trailing update. Depth 1 is the
+//!   HPL-style schedule; larger depths let panels `k+2, k+3, …` start
+//!   while step `k`'s bulk `gemm`s drag on.
 //!
 //! Any topological execution of the DAG produces **bitwise identical**
 //! factors to the sequential sweep: every read/write overlap is ordered by
 //! an edge, tile splits of `gemm`/`trsm`/row-swaps are per-element
 //! reorderings that do not change the fixed k-accumulation order of the
-//! kernels, and the panel kernel itself is untouched.
-//!
-//! [`LuDag::build_with`] additionally offers [`PanelMode::Resident`],
-//! which replaces each monolithic `Panel(k)` with a per-tile tournament
-//! subgraph ([`Task::PanelElect`] → [`Task::PanelReduce`]\* →
-//! [`Task::PanelFinish`] → [`Task::PanelApply`]\*): candidates are elected
-//! on resident tiles with no gather/scatter copy of the panel, folded up a
-//! deterministic binary tree, and `L₂₁` is formed tile-parallel. Resident
-//! executions are bitwise reproducible across executors, depths, and runs
-//! — but use a *different* (still deterministic) tournament tree than the
-//! gathered reference, so the two modes' factors differ.
+//! kernels, and the tournament tree is a pure function of the tile count.
 
 use calu_netsim::MachineConfig;
 
@@ -50,20 +46,10 @@ pub type TaskId = usize;
 /// One schedulable unit of work. Indices are in units of `nb`-wide blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Task {
-    /// TSLU tournament factorization of panel `k` (rows `k·nb..m`,
-    /// columns `k·nb..k·nb+jb`), including its own pivot swaps.
-    ///
-    /// The monolithic panel task of [`PanelMode::Gathered`]; under
-    /// [`PanelMode::Resident`] it is replaced by the per-tile tournament
-    /// subgraph `PanelElect → PanelReduce* → PanelFinish → PanelApply*`.
-    Panel {
-        /// Panel step (block column index).
-        k: usize,
-    },
-    /// Tournament leaf of the tile-resident panel ([`PanelMode::Resident`]):
-    /// elect tile `(ti, k)`'s `jb` candidate pivot rows by local LU on the
-    /// resident tile (no gather — the tile is read in place; only the
-    /// `≤ nb × jb` election copy intrinsic to tournament pivoting is made).
+    /// Tournament leaf of the tile-resident panel: elect tile `(ti, k)`'s
+    /// `jb` candidate pivot rows by local LU on the resident tile (the
+    /// tile is read in place; only the `≤ nb × jb` election copy
+    /// intrinsic to tournament pivoting is made).
     PanelElect {
         /// Panel step.
         k: usize,
@@ -272,8 +258,7 @@ impl Task {
     /// The elimination step this task belongs to.
     pub fn step(&self) -> usize {
         match *self {
-            Task::Panel { k }
-            | Task::PanelElect { k, .. }
+            Task::PanelElect { k, .. }
             | Task::PanelReduce { k, .. }
             | Task::PanelFinish { k }
             | Task::PanelApply { k, .. }
@@ -299,7 +284,6 @@ impl Task {
     /// Perfetto group and filter events by category).
     pub fn cat(&self) -> &'static str {
         match *self {
-            Task::Panel { .. } => "panel",
             Task::PanelElect { .. } => "panel_elect",
             Task::PanelReduce { .. } => "panel_reduce",
             Task::PanelFinish { .. } => "panel_finish",
@@ -337,7 +321,6 @@ impl Task {
 impl std::fmt::Display for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
-            Task::Panel { k } => write!(f, "Panel({k})"),
             Task::PanelElect { k, ti } => write!(f, "PanelElect({k},{ti})"),
             Task::PanelReduce { k, level, ti, tj } => {
                 write!(f, "PanelReduce({k},l{level},{ti}+{tj})")
@@ -426,11 +409,10 @@ pub type Prio = (u32, u8, u32, u32);
 fn priority(shape: &LuShape, t: Task) -> Prio {
     let cb = shape.col_blocks() as u32;
     match t {
-        Task::Panel { k } => (k as u32, 0, 0, 0),
-        // The resident panel subgraph shares the gathered panel's slot
-        // (first among step-k work); within it the reduction spine drains
-        // root-ward first: finish, then reduces (deeper level = closer to
-        // the root = smaller), then elects, then the L₂₁ applies.
+        // The panel subgraph comes first among step-k work; within it the
+        // reduction spine drains root-ward first: finish, then reduces
+        // (deeper level = closer to the root = smaller), then elects, then
+        // the L₂₁ applies.
         Task::PanelFinish { k } => (k as u32, 0, 0, 0),
         Task::PanelReduce { k, level, .. } => (k as u32, 0, 1, u32::MAX - level as u32),
         Task::PanelElect { k, ti } => (k as u32, 0, 2, ti as u32),
@@ -488,31 +470,6 @@ fn dist_priority(cb: u32, d: DistTask) -> Prio {
         Gemm => (j, 5, k, rank),
         Swap => (cb + k, 6, j, 0),
     }
-}
-
-/// How the shared-memory DAG factors a panel — the knob selecting between
-/// the monolithic gathered panel task and the per-tile tournament subgraph.
-///
-/// Both modes are deterministic; they are *different* deterministic
-/// algorithms. `Gathered` partitions the panel into `opts.p` row blocks
-/// and is bitwise identical to the sequential `calu_inplace` sweep.
-/// `Resident` uses tile-height blocks as tournament leaves (a different
-/// but equally deterministic tree), elects candidates per resident tile —
-/// no gather/scatter copy of the panel — and forms `L₂₁` tile-parallel,
-/// so its factors are bitwise reproducible across executors, lookahead
-/// depths, and runs, but not bitwise equal to `Gathered`'s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PanelMode {
-    /// One monolithic `Panel(k)` task: gather the tile column into a
-    /// contiguous scratch panel, run sequential TSLU, scatter back.
-    /// The bitwise reference (identical to `calu_inplace`).
-    #[default]
-    Gathered,
-    /// Per-tile tournament subgraph
-    /// `PanelElect → PanelReduce* → PanelFinish → PanelApply*`: candidates
-    /// elected on resident tiles, folded up a deterministic binary tree,
-    /// `L₂₁` formed tile-parallel in place. No panel gather/scatter.
-    Resident,
 }
 
 /// Per-level node counts of the resident panel's tournament tree over `t`
@@ -583,29 +540,20 @@ pub struct LuDag {
 impl LuDag {
     /// Builds the DAG for an `m × n` factorization with panel width `nb`
     /// and the given panel lookahead depth (`≥ 1`; depths beyond the step
-    /// count leave panels unthrottled), in the default
-    /// [`PanelMode::Gathered`].
+    /// count leave panels unthrottled).
+    ///
+    /// Each panel is a per-tile tournament subgraph: one
+    /// `PanelElect(k, ti)` per resident tile of the panel (each gated only
+    /// on *its own tile's* step-`k-1` update, so elections start as the
+    /// column drains tile by tile), the `PanelReduce` binary tree folding
+    /// candidate sets root-ward, `PanelFinish(k)` as the panel boundary
+    /// (trailing and left swaps hang off it, and the lookahead throttle
+    /// gates the elects), and one `PanelApply(k, ti)` per trailing tile
+    /// feeding that tile row's `Gemm`s.
     ///
     /// # Panics
     /// If `nb == 0` or `lookahead == 0`.
     pub fn build(shape: LuShape, lookahead: usize) -> Self {
-        Self::build_with(shape, lookahead, PanelMode::Gathered)
-    }
-
-    /// [`LuDag::build`] with an explicit [`PanelMode`]. Under
-    /// [`PanelMode::Resident`] each `Panel(k)` is replaced by the per-tile
-    /// tournament subgraph: one `PanelElect(k, ti)` per resident tile of
-    /// the panel (each gated only on *its own tile's* step-`k-1` update,
-    /// so elections start as the column drains tile by tile), the
-    /// `PanelReduce` binary tree folding candidate sets root-ward,
-    /// `PanelFinish(k)` as the panel boundary (trailing and left swaps
-    /// hang off it, and the lookahead throttle gates the elects), and one
-    /// `PanelApply(k, ti)` per trailing tile feeding that tile row's
-    /// `Gemm`s.
-    ///
-    /// # Panics
-    /// If `nb == 0` or `lookahead == 0`.
-    pub fn build_with(shape: LuShape, lookahead: usize, mode: PanelMode) -> Self {
         assert!(shape.nb > 0, "panel width nb must be positive");
         assert!(lookahead > 0, "lookahead depth must be at least 1");
         let steps = shape.steps();
@@ -624,38 +572,23 @@ impl LuDag {
         };
 
         for k in 0..steps {
-            match mode {
-                PanelMode::Gathered => {
-                    push(Task::Panel { k }, &mut tasks, &mut by_step);
-                }
-                PanelMode::Resident => {
-                    for ti in k..rb {
-                        push(Task::PanelElect { k, ti }, &mut tasks, &mut by_step);
-                    }
-                    let t = rb - k;
-                    let counts = panel_tree_levels(t);
-                    for (level, &n_nodes) in counts.iter().enumerate().skip(1) {
-                        for i in 0..n_nodes {
-                            let right_lo = (2 * i + 1) << (level - 1);
-                            if right_lo < t {
-                                push(
-                                    Task::PanelReduce {
-                                        k,
-                                        level,
-                                        ti: k + (i << level),
-                                        tj: k + right_lo,
-                                    },
-                                    &mut tasks,
-                                    &mut by_step,
-                                );
-                            }
-                        }
-                    }
-                    push(Task::PanelFinish { k }, &mut tasks, &mut by_step);
-                    for ti in k + 1..rb {
-                        push(Task::PanelApply { k, ti }, &mut tasks, &mut by_step);
+            for ti in k..rb {
+                push(Task::PanelElect { k, ti }, &mut tasks, &mut by_step);
+            }
+            let t = rb - k;
+            for (level, &n_nodes) in panel_tree_levels(t).iter().enumerate().skip(1) {
+                for i in 0..n_nodes {
+                    let right_lo = (2 * i + 1) << (level - 1);
+                    if right_lo < t {
+                        let reduce =
+                            Task::PanelReduce { k, level, ti: k + (i << level), tj: k + right_lo };
+                        push(reduce, &mut tasks, &mut by_step);
                     }
                 }
+            }
+            push(Task::PanelFinish { k }, &mut tasks, &mut by_step);
+            for ti in k + 1..rb {
+                push(Task::PanelApply { k, ti }, &mut tasks, &mut by_step);
             }
             for j in 0..k {
                 push(Task::Swap { k, j }, &mut tasks, &mut by_step);
@@ -686,37 +619,12 @@ impl LuDag {
 
         // Edges as (from, to) pairs; deduped below.
         let id = |t: Task| -> TaskId { *id_of.get(&t).expect("edge endpoint exists") };
-        // The task whose completion means "panel k is factored and its
-        // pivots published" — what swaps of step k hang off.
-        let panel_done = |k: usize| -> Task {
-            match mode {
-                PanelMode::Gathered => Task::Panel { k },
-                PanelMode::Resident => Task::PanelFinish { k },
-            }
-        };
         let mut edges: Vec<(TaskId, TaskId)> = Vec::new();
         for (tid, &t) in tasks.iter().enumerate() {
             match t {
-                Task::Panel { k } => {
-                    if k > 0 {
-                        // The panel's column must be fully updated through
-                        // step k-1.
-                        for i in k..rb {
-                            edges.push((id(Task::Gemm { k: k - 1, i, j: k }), tid));
-                        }
-                    }
-                    // Lookahead throttle: wait for every task of step
-                    // k - lookahead - 1.
-                    if k > lookahead {
-                        for &p in &by_step[k - lookahead - 1] {
-                            edges.push((p, tid));
-                        }
-                    }
-                }
                 Task::PanelElect { k, ti } => {
                     // Only this tile's slice of the panel column must be
-                    // updated through step k-1 — the per-tile refinement of
-                    // the gathered panel's all-tiles gate.
+                    // updated through step k-1.
                     if k > 0 {
                         edges.push((id(Task::Gemm { k: k - 1, i: ti, j: k }), tid));
                     }
@@ -749,7 +657,7 @@ impl LuDag {
                     edges.push((id(Task::PanelFinish { k }), tid));
                 }
                 Task::Swap { k, j } if j >= k => {
-                    edges.push((id(panel_done(k)), tid));
+                    edges.push((id(Task::PanelFinish { k }), tid));
                     if k > 0 {
                         // Column j fully updated through step k-1 first.
                         for i in k..rb {
@@ -759,14 +667,14 @@ impl LuDag {
                 }
                 Task::Swap { k, j } => {
                     // j < k: pivot fix-up of a finished L column.
-                    edges.push((id(panel_done(k)), tid));
+                    edges.push((id(Task::PanelFinish { k }), tid));
                     if j < k - 1 {
                         // Swaps on the same column do not commute.
                         edges.push((id(Task::Swap { k: k - 1, j }), tid));
                     } else {
                         // First left-swap of column j = k-1: anti-dependence
                         // on every reader of the unswapped L₂₁ of step k-1
-                        // (and, resident mode, on its per-tile writers).
+                        // and on its per-tile writers.
                         for &gid in &by_step[k - 1] {
                             if matches!(tasks[gid], Task::Gemm { .. } | Task::PanelApply { .. }) {
                                 edges.push((gid, tid));
@@ -776,18 +684,15 @@ impl LuDag {
                 }
                 Task::Trsm { k, j } => {
                     // The swap wrote the same rows; the panel root is
-                    // covered transitively (Swap ← Panel/PanelFinish).
+                    // covered transitively (Swap ← PanelFinish).
                     edges.push((id(Task::Swap { k, j }), tid));
                 }
                 Task::Gemm { k, i, j } => {
                     // Trsm(k,j) produced U₁₂; Swap(k,j) (last writer of the
-                    // tile) is transitive. L₂₁ of tile row i comes from the
-                    // panel root (transitive) in gathered mode, or from
-                    // this tile's PanelApply in resident mode.
+                    // tile) is transitive. L₂₁ of tile row i comes from
+                    // this tile's PanelApply.
                     edges.push((id(Task::Trsm { k, j }), tid));
-                    if mode == PanelMode::Resident {
-                        edges.push((id(Task::PanelApply { k, ti: i }), tid));
-                    }
+                    edges.push((id(Task::PanelApply { k, ti: i }), tid));
                 }
                 Task::Dist(_) | Task::Solve(_) => {
                     unreachable!("factorization builder emits no dist/solve tasks")
@@ -943,8 +848,8 @@ pub enum TileLocality {
     /// Flat column-major storage: task operands are strided sub-blocks
     /// with leading dimension `m`.
     Flat,
-    /// Tile-major storage: `Trsm`/`Gemm` operands are contiguous tiles;
-    /// the panel pays an explicit gather/scatter copy around its kernel.
+    /// Tile-major storage: every `Trsm`/`Gemm` and panel-task operand is a
+    /// contiguous tile.
     TileMajor,
 }
 
@@ -964,16 +869,19 @@ pub enum TileLocality {
 /// columns of an operand onto the same cache sets, so a spilled strided
 /// operand also cannot stay resident *within* a task between kernel
 /// passes: its sweeps are charged twice. A matrix that fits in cache
-/// streams once either way, so both layouts charge contiguous bytes.
-/// Tile-major `Panel` tasks charge one extra read+write pair: the
-/// explicit gather/scatter copy into the contiguous scratch panel. Row
+/// streams once either way, so both layouts charge contiguous bytes. Row
 /// swaps touch one line per element in either layout (rows are
 /// orthogonal to column-major storage) and cost the same.
 ///
+/// The panel subgraph charges its *main-matrix* operand sweeps only: the
+/// elect reads its tile once, the finish read+writes the diagonal tile,
+/// the apply read+writes its tile in place. `jb`-scale scratch — election
+/// copies, candidate payloads folded by the reduces, the `U₁₁` block
+/// every apply re-reads — stays uncharged as cache-resident.
+///
 /// The net effect matches the tiled-algorithms literature: tile-major
-/// wins on the `gemm`-dominated trailing updates and gives a little back
-/// on panels — the modeled difference `layout_calu` records next to its
-/// measured times.
+/// wins on the `gemm`-dominated trailing updates — the modeled difference
+/// `layout_calu` records next to its measured times.
 pub fn modeled_cache_traffic(
     shape: &LuShape,
     task: Task,
@@ -1004,26 +912,6 @@ pub fn modeled_cache_traffic(
         sweeps * lines * LINE
     };
     match task {
-        Task::Panel { k } => {
-            let rows = shape.m - k * shape.nb;
-            let jb = shape.panel_width(k);
-            let kernel = block_bytes(rows, jb, 2.0);
-            match locality {
-                TileLocality::TileMajor => kernel + block_bytes(rows, jb, 2.0),
-                TileLocality::Flat => kernel,
-            }
-        }
-        // The resident panel subgraph charges its *main-matrix* operand
-        // sweeps only, at the same idealization level as the gathered
-        // kernel above (which charges 2 panel sweeps for the whole TSLU,
-        // its internal election copies and tournament folds uncharged as
-        // cache-resident scratch): the elect reads its tile once, the
-        // finish read+writes the diagonal tile, the apply read+writes its
-        // tile in place. jb-scale scratch — election copies, candidate
-        // payloads folded by the reduces, the U₁₁ block every apply
-        // re-reads — stays uncharged on both sides. Net: 3 panel sweeps
-        // instead of the gathered tile panel's 4 — the eliminated
-        // gather/scatter copy, minus the cross-task re-read of each tile.
         Task::PanelElect { k, ti } => {
             block_bytes(shape.row_range(ti).len(), shape.panel_width(k), 1.0)
         }
@@ -1072,17 +960,9 @@ pub fn modeled_time_layout(
 
 /// Modeled execution time of one task under a [`MachineConfig`]'s γ-class
 /// kernel rates (the same model `calu-netsim` charges simulated ranks).
-/// The panel is costed as one unpivoted LU of the full panel height plus a
-/// `getf2` sweep for the tournament's candidate elections.
 pub fn modeled_time(shape: &LuShape, task: Task, mch: &MachineConfig) -> f64 {
     match task {
-        Task::Panel { k } => {
-            let rows = shape.m - k * shape.nb;
-            let jb = shape.panel_width(k);
-            mch.t_getf2(rows, jb) + mch.t_lu_nopiv(rows, jb)
-        }
-        // Resident panel subgraph: the monolithic panel cost split across
-        // its tasks — per-tile elections, jb-scale tree folds, the
+        // Panel subgraph: per-tile elections, jb-scale tree folds, the
         // diagonal-tile finish, and per-tile L₂₁ formation (triangular
         // solve flops: jb²·h).
         Task::PanelElect { k, ti } => mch.t_getf2(shape.row_range(ti).len(), shape.panel_width(k)),
@@ -1124,27 +1004,31 @@ mod tests {
 
     #[test]
     fn counts_match_closed_form_square() {
-        // 4 block columns, square: per step k < 3 there are (cb-1-k)
-        // right-swaps/trsm and (rb-1-k)(cb-1-k) gemms, plus k left swaps.
+        // 4x4 blocks: per step k there are t = 4-k elect leaves, t-1
+        // reduces (any binary tree over t leaves folds t-1 pairs), one
+        // finish, and 4-k-1 applies; (cb-1-k) right-swaps/trsms,
+        // (rb-1-k)(cb-1-k) gemms, plus k left swaps.
         let d = dag(128, 128, 32, 1);
-        let (mut panels, mut swaps, mut trsms, mut gemms) = (0, 0, 0, 0);
+        let (mut elects, mut reduces, mut finishes, mut applies) = (0, 0, 0, 0);
+        let (mut swaps, mut trsms, mut gemms) = (0, 0, 0);
         for t in d.tasks() {
             match t {
-                Task::Panel { .. } => panels += 1,
+                Task::PanelElect { .. } => elects += 1,
+                Task::PanelReduce { .. } => reduces += 1,
+                Task::PanelFinish { .. } => finishes += 1,
+                Task::PanelApply { .. } => applies += 1,
                 Task::Swap { .. } => swaps += 1,
                 Task::Trsm { .. } => trsms += 1,
                 Task::Gemm { .. } => gemms += 1,
-                Task::PanelElect { .. }
-                | Task::PanelReduce { .. }
-                | Task::PanelFinish { .. }
-                | Task::PanelApply { .. }
-                | Task::Dist(_)
-                | Task::Solve(_) => {
-                    unreachable!("gathered factorization DAGs emit no resident/dist/solve tasks")
+                Task::Dist(_) | Task::Solve(_) => {
+                    unreachable!("factorization DAGs emit no dist/solve tasks")
                 }
             }
         }
-        assert_eq!(panels, 4);
+        assert_eq!(elects, 4 + 3 + 2 + 1);
+        assert_eq!(reduces, 3 + 2 + 1);
+        assert_eq!(finishes, 4);
+        assert_eq!(applies, 3 + 2 + 1);
         assert_eq!(trsms, 3 + 2 + 1);
         assert_eq!(swaps, (3 + 2 + 1) + (1 + 2 + 3)); // right + left
         assert_eq!(gemms, 9 + 4 + 1);
@@ -1185,9 +1069,13 @@ mod tests {
 
     #[test]
     fn serial_schedule_is_topological_and_complete() {
-        for &(m, n, nb, d) in
-            &[(96, 96, 16, 1), (96, 96, 16, 3), (130, 70, 32, 2), (70, 130, 32, 9)]
-        {
+        for &(m, n, nb, d) in &[
+            (96, 96, 16, 1),
+            (96, 96, 16, 3),
+            (130, 70, 32, 2),
+            (70, 130, 32, 9),
+            (100, 60, 16, 2),
+        ] {
             let g = dag(m, n, nb, d);
             let order = g.serial_schedule();
             assert_eq!(order.len(), g.len());
@@ -1205,20 +1093,22 @@ mod tests {
 
     #[test]
     fn lookahead_throttle_orders_panels_behind_old_gemms() {
-        // With depth 1, Panel(3) must come after every task of step 1 in
-        // any topological order; with a huge depth that edge disappears.
+        // With depth 1, the elects of step 3 must come after every task of
+        // step 1 in any topological order; with a huge depth that edge
+        // disappears.
+        let e3 = Task::PanelElect { k: 3, ti: 4 };
         let g1 = dag(160, 160, 32, 1);
-        let p3 = g1.tasks().iter().position(|t| matches!(t, Task::Panel { k: 3 })).unwrap();
+        let p3 = g1.tasks().iter().position(|&t| t == e3).unwrap();
         let has_edge_from_step1 =
             (0..g1.len()).any(|id| g1.tasks()[id].step() == 1 && g1.successors(id).contains(&p3));
         assert!(has_edge_from_step1, "depth-1 throttle edge missing");
 
         let g9 = dag(160, 160, 32, 9);
-        let p3 = g9.tasks().iter().position(|t| matches!(t, Task::Panel { k: 3 })).unwrap();
+        let p3 = g9.tasks().iter().position(|&t| t == e3).unwrap();
         let throttled = (0..g9.len()).any(|id| {
             matches!(g9.tasks()[id], Task::Gemm { k: 1, .. }) && g9.successors(id).contains(&p3)
         });
-        assert!(!throttled, "deep lookahead must not throttle Panel(3) on step-1 gemms");
+        assert!(!throttled, "deep lookahead must not throttle step 3 on step-1 gemms");
     }
 
     #[test]
@@ -1236,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_major_traffic_beats_flat_on_updates_and_pays_on_panels() {
+    fn tile_major_traffic_beats_flat_on_updates() {
         // 1024^2 doubles (8 MB) spill the XT4's 2 MB cache.
         let shape = LuShape { m: 1024, n: 1024, nb: 64 };
         let mch = MachineConfig::xt4();
@@ -1248,11 +1138,22 @@ mod tests {
         // read+write, all contiguous.
         assert_eq!(tiled, (4 * 64 * 64 * 8) as f64);
 
-        let panel = Task::Panel { k: 0 };
-        let p_tiled = modeled_cache_traffic(&shape, panel, &mch, TileLocality::TileMajor);
-        // The tile panel's gather/scatter copy doubles its contiguous
-        // kernel sweep (2 extra sweeps of m x nb doubles).
-        assert_eq!(p_tiled, (4 * 1024 * 64 * 8) as f64, "gather/scatter copy must be charged");
+        // The panel charges its main-matrix tile sweeps only: an elect
+        // reads its tile once, an apply reads and writes it.
+        let elect = modeled_cache_traffic(
+            &shape,
+            Task::PanelElect { k: 0, ti: 3 },
+            &mch,
+            TileLocality::TileMajor,
+        );
+        assert_eq!(elect, (64 * 64 * 8) as f64);
+        let apply = modeled_cache_traffic(
+            &shape,
+            Task::PanelApply { k: 0, ti: 3 },
+            &mch,
+            TileLocality::TileMajor,
+        );
+        assert_eq!(apply, (2 * 64 * 64 * 8) as f64);
 
         // Whole-DAG traffic is gemm-dominated, so tile-major wins net.
         let dag = LuDag::build(shape, 1);
@@ -1292,11 +1193,12 @@ mod tests {
 
     #[test]
     fn first_left_swap_waits_for_all_readers_of_l() {
-        // Swap(1, 0) must depend on every Gemm(0, ·, ·).
+        // Swap(1, 0) must depend on every Gemm(0, ·, ·) (readers of L₂₁)
+        // and every PanelApply(0, ·) (its per-tile writers).
         let g = dag(96, 96, 32, 1);
         let target = g.tasks().iter().position(|t| matches!(t, Task::Swap { k: 1, j: 0 })).unwrap();
         for id in 0..g.len() {
-            if matches!(g.tasks()[id], Task::Gemm { k: 0, .. }) {
+            if matches!(g.tasks()[id], Task::Gemm { k: 0, .. } | Task::PanelApply { k: 0, .. }) {
                 assert!(
                     g.successors(id).contains(&target),
                     "{} must precede Swap(1,0)",
@@ -1306,46 +1208,12 @@ mod tests {
         }
     }
 
-    fn rdag(m: usize, n: usize, nb: usize, d: usize) -> LuDag {
-        LuDag::build_with(LuShape { m, n, nb }, d, PanelMode::Resident)
-    }
-
     #[test]
-    fn resident_counts_match_closed_form_square() {
-        // 4x4 blocks: per step k there are t = 4-k elect leaves, t-1
-        // reduces (any binary tree over t leaves folds t-1 pairs), one
-        // finish, and 4-k-1 applies; swaps/trsms/gemms are unchanged.
-        let d = rdag(128, 128, 32, 1);
-        let (mut elects, mut reduces, mut finishes, mut applies) = (0, 0, 0, 0);
-        let (mut swaps, mut trsms, mut gemms) = (0, 0, 0);
-        for t in d.tasks() {
-            match t {
-                Task::PanelElect { .. } => elects += 1,
-                Task::PanelReduce { .. } => reduces += 1,
-                Task::PanelFinish { .. } => finishes += 1,
-                Task::PanelApply { .. } => applies += 1,
-                Task::Swap { .. } => swaps += 1,
-                Task::Trsm { .. } => trsms += 1,
-                Task::Gemm { .. } => gemms += 1,
-                other => unreachable!("unexpected {other} in a resident DAG"),
-            }
-        }
-        assert_eq!(elects, 4 + 3 + 2 + 1);
-        assert_eq!(reduces, 3 + 2 + 1);
-        assert_eq!(finishes, 4);
-        assert_eq!(applies, 3 + 2 + 1);
-        // Trailing structure identical to the gathered DAG.
-        assert_eq!(trsms, 3 + 2 + 1);
-        assert_eq!(swaps, (3 + 2 + 1) + (1 + 2 + 3));
-        assert_eq!(gemms, 9 + 4 + 1);
-    }
-
-    #[test]
-    fn resident_tree_edges_fold_candidates_to_the_finish() {
+    fn tree_edges_fold_candidates_to_the_finish() {
         // 5 leaf tiles at step 0: levels [5, 3, 2, 1]. Node (1,2) is a
         // pass-through (leaf 4 has no partner), so the level-2 reduce
         // folds (1,0)'s winner with leaf 4 directly.
-        let g = rdag(5 * 32, 4 * 32, 32, 1);
+        let g = dag(5 * 32, 4 * 32, 32, 1);
         let find = |t: Task| g.tasks().iter().position(|&x| x == t).unwrap();
         let r10 = find(Task::PanelReduce { k: 0, level: 1, ti: 0, tj: 1 });
         let r11 = find(Task::PanelReduce { k: 0, level: 1, ti: 2, tj: 3 });
@@ -1368,8 +1236,8 @@ mod tests {
     }
 
     #[test]
-    fn resident_elects_gate_per_tile_and_throttle_like_panels() {
-        let g = rdag(160, 160, 32, 1);
+    fn elects_gate_per_tile_and_finish_is_the_panel_boundary() {
+        let g = dag(160, 160, 32, 1);
         let find = |t: Task| g.tasks().iter().position(|&x| x == t).unwrap();
         // Per-tile refinement: Elect(1, ti) waits on Gemm(0, ti, 1) only.
         let e13 = find(Task::PanelElect { k: 1, ti: 3 });
@@ -1379,96 +1247,11 @@ mod tests {
         let e3 = find(Task::PanelElect { k: 3, ti: 4 });
         let throttled =
             (0..g.len()).any(|id| g.tasks()[id].step() == 1 && g.successors(id).contains(&e3));
-        assert!(throttled, "depth-1 throttle edge missing on resident elect");
+        assert!(throttled, "depth-1 throttle edge missing on elect");
         // Finish is the panel boundary: the trailing swap hangs off it.
         let fin = find(Task::PanelFinish { k: 1 });
         assert!(g.successors(fin).contains(&find(Task::Swap { k: 1, j: 2 })));
         assert!(g.successors(fin).contains(&find(Task::Swap { k: 1, j: 0 })));
-    }
-
-    #[test]
-    fn resident_first_left_swap_waits_for_applies_too() {
-        let g = rdag(96, 96, 32, 1);
-        let target = g.tasks().iter().position(|t| matches!(t, Task::Swap { k: 1, j: 0 })).unwrap();
-        for id in 0..g.len() {
-            if matches!(g.tasks()[id], Task::Gemm { k: 0, .. } | Task::PanelApply { k: 0, .. }) {
-                assert!(
-                    g.successors(id).contains(&target),
-                    "{} must precede Swap(1,0)",
-                    g.tasks()[id]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn resident_schedule_is_topological_on_ragged_shapes() {
-        for &(m, n, nb, d) in &[
-            (96, 96, 16, 1),
-            (96, 96, 16, 3),
-            (130, 70, 32, 2),
-            (70, 130, 32, 9),
-            (100, 60, 16, 2),
-        ] {
-            let g = LuDag::build_with(LuShape { m, n, nb }, d, PanelMode::Resident);
-            let order = g.serial_schedule();
-            assert_eq!(order.len(), g.len());
-            let mut pos = vec![0usize; g.len()];
-            for (p, &id) in order.iter().enumerate() {
-                pos[id] = p;
-            }
-            for id in 0..g.len() {
-                for &s in g.successors(id) {
-                    assert!(pos[id] < pos[s], "{} must precede {}", g.tasks()[id], g.tasks()[s]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resident_panel_charges_no_gather_scatter_traffic() {
-        // Same spilled TileMajor setup as the gathered test above: the
-        // gathered panel pays a doubled sweep; the resident subgraph's
-        // total panel-step traffic stays strictly below it.
-        let shape = LuShape { m: 1024, n: 1024, nb: 64 };
-        let mch = MachineConfig::xt4();
-        let gathered =
-            modeled_cache_traffic(&shape, Task::Panel { k: 0 }, &mch, TileLocality::TileMajor);
-        let g = LuDag::build_with(shape, 1, PanelMode::Resident);
-        let resident: f64 = g
-            .tasks()
-            .iter()
-            .filter(|t| {
-                t.step() == 0
-                    && matches!(
-                        t,
-                        Task::PanelElect { .. }
-                            | Task::PanelReduce { .. }
-                            | Task::PanelFinish { .. }
-                            | Task::PanelApply { .. }
-                    )
-            })
-            .map(|&t| modeled_cache_traffic(&shape, t, &mch, TileLocality::TileMajor))
-            .sum();
-        assert!(
-            resident < gathered,
-            "resident panel traffic {resident} must beat gathered {gathered}"
-        );
-        // And the resident critical path is shorter: elections fold in
-        // log(t) tree depth instead of one serial full-height panel.
-        let cp = |mode: PanelMode| {
-            LuDag::build_with(shape, 2, mode).critical_path(|t| modeled_time(&shape, t, &mch))
-        };
-        assert!(cp(PanelMode::Resident) < cp(PanelMode::Gathered));
-    }
-
-    #[test]
-    fn resident_single_tile_panel_degenerates_to_elect_finish() {
-        let g = rdag(40, 40, 64, 1);
-        assert_eq!(g.len(), 2);
-        assert!(matches!(g.tasks()[0], Task::PanelElect { k: 0, ti: 0 }));
-        assert!(matches!(g.tasks()[1], Task::PanelFinish { k: 0 }));
-        assert!(g.successors(0).contains(&1));
     }
 
     #[test]
@@ -1487,9 +1270,12 @@ mod tests {
 
     #[test]
     fn empty_and_single_panel_shapes() {
+        // A single-tile panel degenerates to elect -> finish.
         let g = dag(40, 40, 64, 1);
-        assert_eq!(g.len(), 1, "single panel, nothing else");
-        assert!(matches!(g.tasks()[0], Task::Panel { k: 0 }));
+        assert_eq!(g.len(), 2, "single panel, nothing else");
+        assert!(matches!(g.tasks()[0], Task::PanelElect { k: 0, ti: 0 }));
+        assert!(matches!(g.tasks()[1], Task::PanelFinish { k: 0 }));
+        assert!(g.successors(0).contains(&1));
         let e = LuDag::build(LuShape { m: 0, n: 16, nb: 8 }, 1);
         assert!(e.is_empty());
     }

@@ -9,9 +9,10 @@
 //! (`calu-core`):
 //!
 //! * [`dag`] — [`LuDag::build`] emits the dependency DAG of blocked
-//!   right-looking LU for any `(m, n, nb)`: `Panel`/`Swap`/`Trsm`/`Gemm`
-//!   tasks, the anti-dependences that make row-swap deferral sound, and a
-//!   panel throttle for any lookahead depth `d ≥ 1`;
+//!   right-looking LU for any `(m, n, nb)`: the per-tile tournament panel
+//!   subgraph (`PanelElect`/`PanelReduce`/`PanelFinish`/`PanelApply`),
+//!   `Swap`/`Trsm`/`Gemm` tasks, the anti-dependences that make row-swap
+//!   deferral sound, and a panel throttle for any lookahead depth `d ≥ 1`;
 //! * [`exec`] — two executors behind the [`Executor`] trait: a
 //!   deterministic [`SerialExecutor`] (priority-ordered replay) and a
 //!   work-stealing [`ThreadedExecutor`] (`std::thread` workers over a
@@ -21,9 +22,10 @@
 //!
 //! The runtime is algorithm-agnostic: it schedules; a [`TaskRunner`]
 //! implemented by the caller supplies the kernels. `calu-core`'s
-//! `rt` module binds the real TSLU/BLAS kernels and proves (in tests)
-//! that every schedule the runtime can produce yields factors **bitwise
-//! identical** to the sequential reference.
+//! `rt` module binds the real tournament/BLAS kernels and proves (in
+//! tests) that every schedule the runtime can produce yields factors
+//! **bitwise identical** to the sequential sweep on the same tile-leaf
+//! tournament tree.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,8 +37,8 @@ pub mod solve;
 
 pub use dag::{
     modeled_cache_traffic, modeled_time, modeled_time_layout, panel_tree_levels,
-    panel_tree_resolve, DistKind, DistTask, LuDag, LuShape, PanelMode, SolveKind, SolveTask, Task,
-    TaskId, TileLocality,
+    panel_tree_resolve, DistKind, DistTask, LuDag, LuShape, SolveKind, SolveTask, Task, TaskId,
+    TileLocality,
 };
 pub use dist::{
     dist_comm_term, expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule,

@@ -165,7 +165,7 @@ impl LuDag {
 
         // The LuShape only carries what priorities need: row_blocks() via
         // m/nb. Lookahead throttling is a factorization concept (there are
-        // no Panel tasks to throttle), so depth 1 is inert here.
+        // no panel tasks to throttle), so depth 1 is inert here.
         let lu_shape = LuShape { m: shape.n, n: shape.n, nb: shape.nb };
         LuDag::from_parts(lu_shape, 1, tasks, edges, 1, None)
     }

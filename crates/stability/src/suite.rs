@@ -3,10 +3,7 @@
 //! HPL-style system, and report one table row.
 
 use crate::residuals::{componentwise_backward_error, hpl_tests, HplReport};
-use calu_core::{
-    calu_inplace, gepp_inplace, rt::runtime_calu_inplace, rt::RuntimeOpts, CaluOpts, LuFactors,
-    PanelMode, PivotStats,
-};
+use calu_core::{calu_inplace, gepp_inplace, CaluOpts, LuFactors, PanelMode, PivotStats};
 use calu_matrix::gen;
 use calu_matrix::Matrix;
 use rand::rngs::StdRng;
@@ -217,13 +214,12 @@ pub fn run_gepp_ensemble_case(
     row
 }
 
-/// Like [`run_calu_ensemble_case`] but factoring on the task-graph
-/// runtime with the tile-resident panel subgraph
-/// ([`PanelMode::Resident`]). The resident tournament folds tile-height
-/// leaves (`n.div_ceil(b)` of them, recorded as the row's `p`) instead of
-/// `Pr` blocks — a *different* deterministic tree — so its rows are held
-/// to the same CALU stability gates as the gathered rows, not compared
-/// bit-for-bit.
+/// Like [`run_calu_ensemble_case`] but with the tile-leaf tournament
+/// ([`PanelMode::Resident`]) — the tree the task-graph runtime runs, so
+/// these rows are the runtime's stability. The tournament folds
+/// tile-height leaves (`n.div_ceil(b)` of them, recorded as the row's
+/// `p`) instead of `Pr` blocks, so its rows are held to the same CALU
+/// stability gates as the `p`-way rows, not compared bit for bit.
 pub fn run_resident_ensemble_case(
     ens: Ensemble,
     n: usize,
@@ -233,13 +229,8 @@ pub fn run_resident_ensemble_case(
 ) -> StabilityRow {
     let factor = move |a: &Matrix, stats: &mut PivotStats| {
         let mut lu = a.clone();
-        let (ipiv, _report) = runtime_calu_inplace(
-            lu.view_mut(),
-            CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() },
-            RuntimeOpts::default(),
-            stats,
-        )
-        .expect("nonsingular");
+        let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
+        let ipiv = calu_inplace(lu.view_mut(), opts, stats).expect("nonsingular");
         LuFactors { lu, ipiv }
     };
     let mut row = aggregate_ens(ens, n, n.div_ceil(b), b, samples, seed0, factor);
@@ -387,11 +378,12 @@ mod tests {
 
     #[test]
     fn resident_panel_growth_within_calu_gates_on_adversarial_ensembles() {
-        // The tile-resident panel subgraph elects through a different
-        // deterministic tree; its pivot quality must stay within the same
-        // stability envelope as the gathered CALU rows on the adversarial
-        // ensembles — thresholds bounded away from zero, growth and
-        // backward error the same order of magnitude.
+        // The tile-leaf tournament (the runtime's panel) elects through a
+        // different deterministic tree than the p-way TSLU; its pivot
+        // quality must stay within the same stability envelope as the
+        // p-way CALU rows on the adversarial ensembles — thresholds
+        // bounded away from zero, growth and backward error the same
+        // order of magnitude.
         let n = 96;
         for ens in [Ensemble::Uniform, Ensemble::Toeplitz, Ensemble::Hadamard] {
             let g = run_calu_ensemble_case(ens, n, 4, 16, 2, 71);
@@ -410,10 +402,10 @@ mod tests {
                 g.wb
             );
             assert!(r.hpl.hpl2 < 16.0, "{ens:?}: resident HPL2 {:?}", r.hpl);
-            // The gathered identity |L| <= 1/tau_min does not transfer:
+            // The p-way identity |L| <= 1/tau_min does not transfer:
             // resident thresholds are measured within the diagonal tile
             // while multipliers span every tile. The practical gate is the
-            // same modest |L| ceiling the gathered ensembles satisfy.
+            // same modest |L| ceiling the p-way ensembles satisfy.
             assert!(r.max_l < 10.0, "{ens:?}: resident |L| {}", r.max_l);
         }
     }

@@ -1,13 +1,16 @@
 //! Shared-memory CALU scaling: the paper's future-work question ("the
 //! suitability of the new ca-pivoting strategy for parallel LU on multicore
-//! architectures"). Factors the same matrix with 1..N rayon threads and
-//! reports wall-clock speedup of parallel CALU over sequential CALU and
-//! GEPP.
+//! architectures"). Factors the same matrix on the task-graph runtime with
+//! 1..N worker threads and reports wall-clock speedup over sequential
+//! CALU and GEPP.
 //!
 //! Run: `cargo run --release --example multicore_scaling [n]`
 
-use calu_repro::core::{calu_factor, gepp_factor, par_calu_factor, CaluOpts};
+use calu_repro::core::{
+    calu_factor, gepp_factor, runtime_calu_factor, CaluOpts, PanelMode, RuntimeOpts,
+};
 use calu_repro::matrix::{gen, Matrix};
+use calu_repro::runtime::ExecutorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -41,23 +44,28 @@ fn main() {
     println!("  CALU sequential:        {t_seq:.3}s  ({:.2}x vs GEPP)", t_gepp / t_seq);
 
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    for threads in [1usize, 2, cores.max(2)] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let t_par = pool.install(|| {
-            time(|| {
-                par_calu_factor(&a, opts).unwrap();
-            })
+    let on =
+        |threads: usize| RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads } };
+    let mut sweep = vec![1usize, 2, cores.max(2)];
+    sweep.dedup();
+    for &threads in &sweep {
+        let t_par = time(|| {
+            runtime_calu_factor(&a, opts, on(threads)).unwrap();
         });
         println!(
-            "  CALU rayon x{threads}:          {t_par:.3}s  ({:.2}x vs sequential CALU)",
+            "  CALU runtime x{threads}:        {t_par:.3}s  ({:.2}x vs sequential CALU)",
             t_seq / t_par
         );
     }
 
-    // Factors are identical regardless of thread count (deterministic tree).
-    let f1 = calu_factor(&a, opts).unwrap();
-    let f2 = par_calu_factor(&a, opts).unwrap();
-    assert_eq!(f1.ipiv, f2.ipiv);
-    assert_eq!(f1.lu.max_abs_diff(&f2.lu), 0.0);
+    // Factors are identical regardless of thread count: the runtime runs
+    // the sequential sweep's tile-leaf tournament tree.
+    let resident = CaluOpts { panel_mode: PanelMode::Resident, ..opts };
+    let f1 = calu_factor(&a, resident).unwrap();
+    for threads in [1usize, cores.max(2)] {
+        let (f2, _) = runtime_calu_factor(&a, opts, on(threads)).unwrap();
+        assert_eq!(f1.ipiv, f2.ipiv);
+        assert_eq!(f1.lu.max_abs_diff(&f2.lu), 0.0);
+    }
     println!("  (parallel factors bitwise identical to sequential: verified)");
 }

@@ -6,10 +6,10 @@
 //!
 //! Run: `cargo run --release --example runtime_dag`
 
-use calu_repro::core::{calu_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
+use calu_repro::core::{calu_factor, runtime_calu_factor, CaluOpts, PanelMode, RuntimeOpts};
 use calu_repro::matrix::{gen, Matrix};
 use calu_repro::netsim::{render_gantt, MachineConfig};
-use calu_repro::runtime::{modeled_time, ExecutorKind, LuDag, LuShape, PanelMode, Task};
+use calu_repro::runtime::{modeled_time, ExecutorKind, LuDag, LuShape, Task};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,38 +19,27 @@ fn main() {
 
     // --- 1. The DAG itself.
     let dag = LuDag::build(shape, 2);
-    let (mut panels, mut swaps, mut trsms, mut gemms) = (0, 0, 0, 0);
+    let (mut elects, mut reduces, mut finishes, mut applies) = (0, 0, 0, 0);
+    let (mut swaps, mut trsms, mut gemms) = (0, 0, 0);
     for t in dag.tasks() {
         match t {
-            Task::Panel { .. } => panels += 1,
+            Task::PanelElect { .. } => elects += 1,
+            Task::PanelReduce { .. } => reduces += 1,
+            Task::PanelFinish { .. } => finishes += 1,
+            Task::PanelApply { .. } => applies += 1,
             Task::Swap { .. } => swaps += 1,
             Task::Trsm { .. } => trsms += 1,
             Task::Gemm { .. } => gemms += 1,
-            Task::PanelElect { .. }
-            | Task::PanelReduce { .. }
-            | Task::PanelFinish { .. }
-            | Task::PanelApply { .. } => {
-                unreachable!("gathered DAGs emit no panel-subgraph tasks")
-            }
             Task::Dist(_) | Task::Solve(_) => {
                 unreachable!("factorization DAGs emit no dist/solve tasks")
             }
         }
     }
     println!("LU task DAG for {m}x{n}, nb={nb}, lookahead depth 2");
-    println!("  {} tasks: {panels} Panel, {swaps} Swap, {trsms} Trsm, {gemms} Gemm", dag.len());
-
-    // Resident mode replaces each Panel(k) with a per-tile tournament
-    // subgraph (elect / reduce / finish / apply) — same Swap/Trsm/Gemm.
-    let resident = LuDag::build_with(shape, 2, PanelMode::Resident);
-    let count = |pfx: &str| resident.tasks().iter().filter(|t| t.cat() == pfx).count();
+    println!("  {} tasks: {swaps} Swap, {trsms} Trsm, {gemms} Gemm", dag.len());
     println!(
-        "  resident panel subgraph: {} tasks ({} elect, {} reduce, {} finish, {} apply)\n",
-        resident.len(),
-        count("panel_elect"),
-        count("panel_reduce"),
-        count("panel_finish"),
-        count("panel_apply")
+        "  panel subgraph: {elects} PanelElect, {reduces} PanelReduce, {finishes} PanelFinish, \
+         {applies} PanelApply\n"
     );
 
     // --- 2. The deterministic serial schedule (what SerialExecutor replays).
@@ -79,12 +68,8 @@ fn main() {
     // --- 4. A real run on the threaded executor, traced.
     let mut rng = StdRng::seed_from_u64(7);
     let a: Matrix = gen::randn(&mut rng, m, n);
-    let opts = CaluOpts { block: nb, p: 4, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 2,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let opts = CaluOpts { block: nb, panel_mode: PanelMode::Resident, ..Default::default() };
+    let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 0 } };
     let (f, report) = runtime_calu_factor(&a, opts, rt).expect("factorization succeeds");
     let seq = calu_factor(&a, opts).expect("sequential reference succeeds");
     assert_eq!(

@@ -5,7 +5,7 @@
 
 use calu_repro::core::{
     calu_factor, gepp_factor, runtime_calu_factor, tiled_calu_factor, tslu_factor, CaluOpts,
-    LocalLu, RuntimeOpts,
+    LocalLu, PanelMode, RuntimeOpts,
 };
 use calu_repro::matrix::lapack::{getf2, getf2_info, getrf, GetrfOpts};
 use calu_repro::matrix::{gen, Error, Matrix, NoObs};
@@ -46,29 +46,25 @@ fn all_flavors_report_singularity_at_the_same_step() {
 
 #[test]
 fn runtime_dag_cancels_on_singularity_and_reports_absolute_step() {
-    // A SingularPivot inside a Panel(k) task must cancel dependent tasks
-    // and surface the *absolute* elimination step — same contract as the
-    // sequential sweep's `shift_step`, now across the task DAG at every
-    // lookahead depth and on both executors.
+    // A SingularPivot inside the panel subgraph must cancel dependent
+    // tasks and surface the *absolute* elimination step the sequential
+    // sweep on the same tile-leaf tree reports, at every lookahead depth
+    // and on both executors.
     let n = 48;
     for &r in &[1usize, 7, 24, 47] {
         let a = rank_deficient(500 + r as u64, n, r);
-        let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
+        let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
+        let want = calu_factor(&a, opts).unwrap_err();
+        assert_eq!(want, Error::SingularPivot { step: r }, "sequential rank {r}");
         for lookahead in 1..=3 {
             for executor in [
                 ExecutorKind::Serial,
                 ExecutorKind::Threaded { threads: 2 },
                 ExecutorKind::Threaded { threads: 4 },
             ] {
-                let rt = RuntimeOpts { lookahead, executor, parallel_panel: false };
+                let rt = RuntimeOpts { lookahead, executor };
                 let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                match e {
-                    Error::SingularPivot { step } => assert_eq!(
-                        step, r,
-                        "rank {r} d={lookahead} {executor:?}: wrong singular step"
-                    ),
-                    other => panic!("rank {r}: unexpected error {other:?}"),
-                }
+                assert_eq!(e, want, "rank {r} d={lookahead} {executor:?}");
             }
         }
     }
@@ -76,40 +72,31 @@ fn runtime_dag_cancels_on_singularity_and_reports_absolute_step() {
 
 #[test]
 fn resident_panel_subgraph_cancels_on_singularity_and_reports_absolute_step() {
-    // Same contract as the monolithic Panel(k) above, but with the panel
-    // decomposed into the PanelElect/PanelReduce/PanelFinish/PanelApply
-    // subgraph: rank-deficient stacks never fail inside the tournament
-    // (elections and reductions always elect *some* rows), so the dead
-    // pivot surfaces in PanelFinish's diagonal-tile elimination — and it
-    // must still be rebased to the absolute step, cancel all dependents
-    // on both executors at every depth, and never hang.
-    use calu_repro::core::{runtime_calu_tiles_factor, PanelMode};
+    // Rank-deficient stacks never fail inside the tournament (elections
+    // and reductions always elect *some* rows), so the dead pivot
+    // surfaces in PanelFinish's diagonal-tile elimination — and it must
+    // still be rebased to the absolute step, cancel all dependents on
+    // both executors at every depth, and never hang, on both storage
+    // layouts.
+    use calu_repro::core::runtime_calu_tiles_factor;
     let n = 48;
     for &r in &[1usize, 7, 24, 47] {
         let a = rank_deficient(500 + r as u64, n, r);
-        let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
+        let opts = CaluOpts { block: 8, ..Default::default() };
         for lookahead in 1..=3 {
             for executor in [
                 ExecutorKind::Serial,
                 ExecutorKind::Threaded { threads: 2 },
                 ExecutorKind::Threaded { threads: 4 },
             ] {
-                let rt = RuntimeOpts { lookahead, executor, parallel_panel: false };
-                let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                match e {
-                    Error::SingularPivot { step } => assert_eq!(
-                        step, r,
-                        "resident rank {r} d={lookahead} {executor:?}: wrong singular step"
-                    ),
-                    other => panic!("resident rank {r}: unexpected error {other:?}"),
-                }
+                let rt = RuntimeOpts { lookahead, executor };
                 let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
                 match e {
                     Error::SingularPivot { step } => assert_eq!(
                         step, r,
-                        "resident tiles rank {r} d={lookahead} {executor:?}: wrong singular step"
+                        "tiles rank {r} d={lookahead} {executor:?}: wrong singular step"
                     ),
-                    other => panic!("resident tiles rank {r}: unexpected error {other:?}"),
+                    other => panic!("tiles rank {r}: unexpected error {other:?}"),
                 }
             }
         }
@@ -118,37 +105,31 @@ fn resident_panel_subgraph_cancels_on_singularity_and_reports_absolute_step() {
 
 #[test]
 fn resident_singularity_in_looked_ahead_panel_still_sequentially_first() {
-    // Unbounded lookahead runs later panels' elects early; the reduction
-    // spine of the failing panel must still report the sequentially-first
-    // dead pivot (panels are chained through PanelFinish).
-    use calu_repro::core::PanelMode;
+    // Unbounded lookahead runs later panels' elects early; the tile path's
+    // reduction spine of the failing panel must still report the
+    // sequentially-first dead pivot (panels are chained through
+    // PanelFinish).
+    use calu_repro::core::runtime_calu_tiles_factor;
     let n = 64;
     let a = rank_deficient(777, n, 40);
-    let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 1_000_000,
-        executor: ExecutorKind::Threaded { threads: 4 },
-        parallel_panel: true,
-    };
-    let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
+    let opts = CaluOpts { block: 8, ..Default::default() };
+    let rt = RuntimeOpts { lookahead: 1_000_000, executor: ExecutorKind::Threaded { threads: 4 } };
+    let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
     assert_eq!(e, Error::SingularPivot { step: 40 });
 }
 
 #[test]
 fn runtime_singularity_in_looked_ahead_panel_still_sequentially_first() {
-    // Deep lookahead runs Panel(k+1), Panel(k+2), ... early; a failure
-    // discovered out of wall-clock order must still be reported as the
-    // error the sequential sweep would hit (panels are chained, so the
-    // first failing panel *is* the sequential one).
+    // Deep lookahead runs later panels early; a failure discovered out of
+    // wall-clock order must still be reported as the error the sequential
+    // sweep would hit (panels are chained, so the first failing panel *is*
+    // the sequential one).
     let n = 64;
     let a = rank_deficient(777, n, 40);
-    let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 1_000_000,
-        executor: ExecutorKind::Threaded { threads: 4 },
-        parallel_panel: true,
-    };
+    let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
+    let rt = RuntimeOpts { lookahead: 1_000_000, executor: ExecutorKind::Threaded { threads: 4 } };
     let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
+    assert_eq!(e, calu_factor(&a, opts).unwrap_err());
     assert_eq!(e, Error::SingularPivot { step: 40 });
 }
 

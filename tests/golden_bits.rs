@@ -14,12 +14,12 @@
 use calu_repro::core::dist::DistCaluConfig;
 use calu_repro::core::{
     calu_factor, dist_calu_factor_rt, runtime_calu_factor, CaluOpts, DistRtOpts, LocalLu,
-    RuntimeOpts,
+    PanelMode, RuntimeOpts,
 };
 use calu_repro::matrix::lapack::{getrf, GetrfOpts};
 use calu_repro::matrix::{gen, Matrix, NoObs, Scalar};
 use calu_repro::netsim::MachineConfig;
-use calu_repro::runtime::{ExecutorKind, PanelMode};
+use calu_repro::runtime::ExecutorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -101,4 +101,25 @@ fn factor_bits_match_the_recorded_hashes_f32() {
             0xb9fc_e0cd_e6ff_6291
         ]
     );
+}
+
+/// The sequential sweep on the tile-leaf tree is the runtime's oracle: it
+/// must hash to the runtime-resident constants above.
+fn sequential_resident_hash<T: Scalar>() -> u64 {
+    let a: Matrix<T> = gen::randn::<f64>(&mut StdRng::seed_from_u64(SEED), N, N).cast::<T>();
+    let opts = CaluOpts {
+        block: B,
+        p: 4,
+        local: LocalLu::Recursive,
+        panel_mode: PanelMode::Resident,
+        ..Default::default()
+    };
+    let f = calu_factor(&a, opts).expect("calu_factor");
+    hash(&f.lu, &f.ipiv)
+}
+
+#[test]
+fn sequential_resident_bits_match_the_runtime_hashes() {
+    assert_eq!(sequential_resident_hash::<f64>(), 0xa519_8eae_4a27_574f);
+    assert_eq!(sequential_resident_hash::<f32>(), 0x63a1_b67e_8797_150b);
 }

@@ -2,11 +2,13 @@
 //! shapes, ensembles, and execution flavors.
 
 use calu_repro::core::{
-    calu_factor, calu_inplace, gepp_factor, par_calu_factor, CaluOpts, LocalLu, PivotStats,
+    calu_factor, calu_inplace, gepp_factor, runtime_calu_factor, tiled_calu_factor, CaluOpts,
+    LocalLu, PanelMode, PivotStats, RuntimeOpts,
 };
 use calu_repro::matrix::blas3::gemm;
 use calu_repro::matrix::perm::{ipiv_to_perm, is_permutation, permute_rows};
 use calu_repro::matrix::{gen, Matrix};
+use calu_repro::runtime::ExecutorKind;
 use calu_repro::stability::{componentwise_backward_error, hpl_tests};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,8 +81,10 @@ fn threshold_bound_holds_across_tournament_heights() {
 
 #[test]
 fn all_three_flavors_agree() {
-    // Sequential, rayon-parallel: identical factors. (The simulated
-    // distributed flavor is exercised in integration_dist.rs.)
+    // Sequential (on the runtime's tile-leaf tree), task-graph runtime on
+    // two worker threads, and the lookahead-tiled front-end: identical
+    // factors. (The simulated distributed flavor is exercised in
+    // integration_dist.rs.)
     let mut rng = StdRng::seed_from_u64(1004);
     let a: Matrix = gen::randn(&mut rng, 150, 150);
     let opts = CaluOpts {
@@ -88,12 +92,16 @@ fn all_three_flavors_agree() {
         p: 5,
         local: LocalLu::Recursive,
         parallel_update: false,
-        ..Default::default()
+        panel_mode: PanelMode::Resident,
     };
     let f_seq = calu_factor(&a, opts).unwrap();
-    let f_par = par_calu_factor(&a, opts).unwrap();
+    let rt = RuntimeOpts { executor: ExecutorKind::Threaded { threads: 2 }, ..Default::default() };
+    let (f_par, _) = runtime_calu_factor(&a, opts, rt).unwrap();
     assert_eq!(f_seq.ipiv, f_par.ipiv);
     assert_eq!(f_seq.lu.max_abs_diff(&f_par.lu), 0.0);
+    let f_tiled = tiled_calu_factor(&a, opts).unwrap();
+    assert_eq!(f_seq.ipiv, f_tiled.ipiv);
+    assert_eq!(f_seq.lu.max_abs_diff(&f_tiled.lu), 0.0);
 }
 
 #[test]

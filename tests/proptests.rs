@@ -194,19 +194,19 @@ proptest! {
     ) {
         // Any schedule the runtime can produce — serial replay or
         // work-stealing threads, lookahead depths 1..3, ragged shapes —
-        // must be a pure reordering: identical pivots, bitwise identical
-        // factors.
-        use calu_repro::core::{runtime_calu_factor, RuntimeOpts};
+        // must be a pure reordering of the sequential sweep on the same
+        // tile-leaf tree: identical pivots, bitwise identical factors.
+        use calu_repro::core::{runtime_calu_factor, PanelMode, RuntimeOpts};
         use calu_repro::runtime::ExecutorKind;
         let a = randn_mat(seed, m, n);
-        let opts = CaluOpts { block: b, p, ..Default::default() };
+        let opts = CaluOpts { block: b, p, panel_mode: PanelMode::Resident, ..Default::default() };
         let seq = calu_factor(&a, opts).unwrap();
         let executor = if exec_sel == 1 {
             ExecutorKind::Threaded { threads: 3 }
         } else {
             ExecutorKind::Serial
         };
-        let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+        let rt = RuntimeOpts { lookahead: depth, executor };
         let (f, _rep) = runtime_calu_factor(&a, opts, rt).unwrap();
         prop_assert_eq!(&seq.ipiv, &f.ipiv, "pivots differ (m={} n={} b={} p={} d={})", m, n, b, p, depth);
         prop_assert_eq!(seq.lu.max_abs_diff(&f.lu), 0.0);
@@ -226,7 +226,7 @@ proptest! {
         use calu_repro::runtime::ExecutorKind;
         let a = randn_mat(seed, m, n);
         let opts = CaluOpts { block: b, p: 4, ..Default::default() };
-        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial, parallel_panel: false };
+        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial };
         let (f1, r1) = runtime_calu_factor(&a, opts, rt).unwrap();
         let (f2, r2) = runtime_calu_factor(&a, opts, rt).unwrap();
         prop_assert_eq!(&r1.order, &r2.order, "serial schedule must be run-to-run deterministic");
@@ -245,7 +245,8 @@ proptest! {
         // The lookahead schedule must be a pure reordering: identical
         // pivots and bitwise identical factors on every shape.
         let a = randn_mat(seed, m, n);
-        let opts = CaluOpts { block: b, p, ..Default::default() };
+        let panel_mode = calu_repro::core::PanelMode::Resident;
+        let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
         let seq = calu_factor(&a, opts).unwrap();
         let tiled = calu_repro::core::tiled_calu_factor(&a, opts).unwrap();
         prop_assert_eq!(&seq.ipiv, &tiled.ipiv, "pivots differ (m={} n={} b={} p={})", m, n, b, p);
@@ -362,20 +363,16 @@ proptest! {
         b in 2usize..20,
         depth in 1usize..4,
     ) {
-        // Tile-resident panel mode follows a different deterministic
-        // tournament tree (tile-height leaves), so it is not compared to
-        // the gathered reference — instead its serial depth-1 run is the
-        // reference, and every executor x depth x precision must
-        // reproduce it bitwise on ragged shapes; the f64 factors must
-        // also reconstruct P A = L U.
+        // The sequential sweep on the tile-leaf tree is the oracle: every
+        // executor x depth x precision must reproduce it bitwise on ragged
+        // shapes, and the f64 factors must reconstruct P A = L U.
         use calu_repro::core::{runtime_calu_factor, PanelMode, RuntimeOpts};
         use calu_repro::runtime::ExecutorKind;
         let a64 = randn_mat(seed, m, n);
         let a32 = a64.cast::<f32>();
         let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
-        let rt0 = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Serial, parallel_panel: false };
-        let (want64, _) = runtime_calu_factor(&a64, opts, rt0).unwrap();
-        let (want32, _) = runtime_calu_factor(&a32, opts, rt0).unwrap();
+        let want64 = calu_factor(&a64, opts).unwrap();
+        let want32 = calu_factor(&a32, opts).unwrap();
         let perm = ipiv_to_perm(&want64.ipiv, m);
         prop_assert!(is_permutation(&perm));
         let pa = permute_rows(&a64, &perm);
@@ -386,7 +383,7 @@ proptest! {
         let err = pa.max_abs_diff(&prod) / a64.max_abs().max(1.0);
         prop_assert!(err < 1e-9, "resident reconstruction error {err} (m={m} n={n} b={b})");
         for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }] {
-            let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+            let rt = RuntimeOpts { lookahead: depth, executor };
             let (f, _) = runtime_calu_factor(&a64, opts, rt).unwrap();
             prop_assert_eq!(&want64.ipiv, &f.ipiv, "f64 pivots (m={} n={} b={} d={} {:?})", m, n, b, depth, executor);
             prop_assert_eq!(want64.lu.max_abs_diff(&f.lu), 0.0, "f64 factors (m={} n={} b={} d={} {:?})", m, n, b, depth, executor);
@@ -404,14 +401,14 @@ proptest! {
         b in 2usize..20,
         depth in 1usize..4,
     ) {
-        // Same contract the gathered path proves: the serial executor
-        // replays a fixed priority order, so two resident-mode runs must
-        // execute the identical task sequence and produce identical bits.
+        // The serial executor replays a fixed priority order, so two runs
+        // with the sequential oracle's options must execute the identical
+        // task sequence and produce identical bits.
         use calu_repro::core::{runtime_calu_factor, PanelMode, RuntimeOpts};
         use calu_repro::runtime::ExecutorKind;
         let a = randn_mat(seed, m, n);
         let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
-        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial, parallel_panel: false };
+        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial };
         let (f1, r1) = runtime_calu_factor(&a, opts, rt).unwrap();
         let (f2, r2) = runtime_calu_factor(&a, opts, rt).unwrap();
         prop_assert_eq!(&r1.order, &r2.order, "resident serial schedule must be run-to-run deterministic");

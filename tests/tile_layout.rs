@@ -1,10 +1,11 @@
 //! Tile-storage integration tests: lossless `from_matrix`/`to_matrix`
 //! round trips (including ragged shapes), cross-tile `laswp` equivalence
 //! with the flat pivot application, and bitwise identity of tile-backed
-//! runtime CALU against the sequential sweep at both precisions, on both
-//! executors, at lookahead depths 1–3.
+//! runtime CALU against the sequential sweep (on the same tile-leaf
+//! tournament tree) at both precisions, on both executors, at lookahead
+//! depths 1–3.
 
-use calu_repro::core::{calu_factor, runtime_calu_tiles, CaluOpts, RuntimeOpts};
+use calu_repro::core::{calu_factor, runtime_calu_tiles, CaluOpts, PanelMode, RuntimeOpts};
 use calu_repro::matrix::perm::apply_ipiv;
 use calu_repro::matrix::{gen, Matrix, NoObs, Scalar, TileMatrix};
 use calu_repro::runtime::ExecutorKind;
@@ -20,11 +21,11 @@ fn executors() -> [ExecutorKind; 2] {
 /// precision across executors and depths.
 fn check_tile_runtime_bitwise<T: Scalar>(seed: u64, m: usize, n: usize, b: usize, p: usize) {
     let a: Matrix<T> = gen::randn(&mut StdRng::seed_from_u64(seed), m, n);
-    let opts = CaluOpts { block: b, p, ..Default::default() };
+    let opts = CaluOpts { block: b, p, panel_mode: PanelMode::Resident, ..Default::default() };
     let seq = calu_factor(&a, opts).expect("random normal matrices are nonsingular");
     for depth in 1..=3 {
         for executor in executors() {
-            let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+            let rt = RuntimeOpts { lookahead: depth, executor };
             let mut tiles = TileMatrix::from_matrix(&a, b, b);
             let (ipiv, _rep) = runtime_calu_tiles(&mut tiles, opts, rt, &mut NoObs).unwrap();
             assert_eq!(seq.ipiv, ipiv, "{} {m}x{n} b={b} d={depth} {executor:?}", T::NAME);
